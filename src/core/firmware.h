@@ -13,9 +13,10 @@
  *    timing simulator, so a request returns both its result and its
  *    completion time on the configured SSD.
  *
- * This closes the loop between the two simulation modes described in
- * DESIGN.md: the command stream the timing model charges for is
- * exactly the stream the functional model executed.
+ * This closes the loop between the functional and timing models (see
+ * README.md, "Unified execution path"): the command stream the timing
+ * model charges for is exactly the stream the functional model
+ * executed.
  */
 
 #ifndef FCOS_CORE_FIRMWARE_H

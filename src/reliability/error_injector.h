@@ -3,7 +3,7 @@
  * Bridges the analytic V_TH model into the functional NAND chip:
  * flips sensed bits with the page's analytic RBER.
  *
- * Per DESIGN.md's scale strategy, the injector draws the *number* of
+ * To scale to full-size pages, the injector draws the *number* of
  * errors per page from Binomial(page_bits, rber) and then picks
  * positions uniformly — statistically identical to per-cell Bernoulli
  * trials but O(errors) instead of O(bits). Sampling is deterministic in

@@ -196,34 +196,47 @@ EventQueue::runBatch(std::vector<Event> &batch, WorkerPool &pool,
                      std::vector<std::vector<const Event *>> &lanes,
                      const std::function<void(std::uint32_t)> &lane_fn)
 {
-    if (pool.threadCount() <= 1) {
-        // Degenerate pool (one physical thread): lane partitioning
-        // buys nothing, so run the work phase inline in seq order —
-        // a valid parallel schedule, since same-shard events keep
-        // their order and cross-shard order is unobservable.
+    // Worker phase: shard-local work, partitioned by shard so one
+    // shard's events stay ordered and never run concurrently. Only
+    // work spread over two or more lanes can use a multi-thread pool.
+    const Event *first = nullptr; // first event with work
+    bool multi_lane = false;
+    for (const Event &ev : batch) {
+        if (!ev.work)
+            continue;
+        if (!first) {
+            first = &ev;
+            if (pool.threadCount() <= 1)
+                break;
+        } else if (ev.shard % lanes.size() != first->shard % lanes.size()) {
+            multi_lane = true;
+            break;
+        }
+    }
+    if (multi_lane) {
+        for (const Event &ev : batch) {
+            if (ev.work)
+                lanes[ev.shard % lanes.size()].push_back(&ev);
+        }
+        in_worker_phase_ = true;
+        pool.run(lane_fn);
+        in_worker_phase_ = false;
+        for (auto &lane : lanes)
+            lane.clear();
+    } else if (first) {
+        // One lane (or one physical thread): the pool could only run
+        // it serially anyway, so run it inline in seq order and skip
+        // the cross-thread handoff — a valid parallel schedule, since
+        // same-shard events keep their order and cross-shard order is
+        // unobservable.
+        if (obs::metricsLive(obs_epoch_))
+            ++stat_inline_;
         in_worker_phase_ = true;
         for (const Event &ev : batch) {
             if (ev.work)
                 ev.work();
         }
         in_worker_phase_ = false;
-    } else {
-        // Worker phase: shard-local work, partitioned by shard so one
-        // shard's events stay ordered and never run concurrently.
-        bool any_work = false;
-        for (const Event &ev : batch) {
-            if (ev.work) {
-                lanes[ev.shard % lanes.size()].push_back(&ev);
-                any_work = true;
-            }
-        }
-        if (any_work) {
-            in_worker_phase_ = true;
-            pool.run(lane_fn);
-            in_worker_phase_ = false;
-            for (auto &lane : lanes)
-                lane.clear();
-        }
     }
     // Commit phase: the per-worker result streams merge back into one
     // deterministic order — every side effect lands in (when, seq)
@@ -309,6 +322,10 @@ EventQueue::publishMetrics()
     pub_bypass_ = stat_bypass_;
     m.counter("sim.queue.waves").add(stat_waves_ - pub_waves_);
     pub_waves_ = stat_waves_;
+    // Host-side dispatch choice, not simulation shape: "host." keeps it
+    // out of deterministic renders.
+    m.counter("host.pool.inline_waves").add(stat_inline_ - pub_inline_);
+    pub_inline_ = stat_inline_;
     m.gauge("sim.queue.heap_depth_peak")
         .noteMax(static_cast<double>(stat_max_depth_));
 }

@@ -23,7 +23,9 @@
  *   1. extract every event at the front timestamp, in seq order;
  *   2. worker phase — the work closures run on the pool, partitioned
  *      by shard (same shard => same lane, lane-internal seq order),
- *      so only shard-disjoint state is touched concurrently;
+ *      so only shard-disjoint state is touched concurrently (a wave
+ *      whose work all maps to one lane runs inline on the caller in
+ *      seq order instead — the pool could only serialize it anyway);
  *   3. commit phase — every commit closure runs on the caller's
  *      thread in seq order, merging the per-worker result streams
  *      back into one deterministic global order.
@@ -137,7 +139,9 @@ class EventQueue
     /**
      * Push this queue's accumulated statistics (events executed, heap
      * bypass hits, waves, peak heap depth) into the active metrics
-     * registry under "sim.queue.*". Deltas since the previous publish,
+     * registry under "sim.queue.*", plus the sub-batches whose work
+     * ran inline instead of on the pool as "host.pool.inline_waves"
+     * (a host-side choice). Deltas since the previous publish,
      * so calling once per drain is safe. No-op unless metrics were on
      * when the queue was constructed (and still are).
      */
@@ -190,9 +194,11 @@ class EventQueue
     std::uint64_t stat_max_depth_ = 0;
     std::uint64_t stat_bypass_ = 0;
     std::uint64_t stat_waves_ = 0;
+    std::uint64_t stat_inline_ = 0; ///< sub-batches whose work ran inline
     std::uint64_t pub_executed_ = 0;
     std::uint64_t pub_bypass_ = 0;
     std::uint64_t pub_waves_ = 0;
+    std::uint64_t pub_inline_ = 0;
 };
 
 /**

@@ -26,6 +26,37 @@ envWorkerDefault()
     return value;
 }
 
+/** Tell the core this is a spin-wait (cheaper for an SMT sibling). */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+/** Busy-wait until @p ready() holds or WorkerPool::kSpinBudget runs
+ *  out. @return ready(). */
+template <typename Pred>
+bool
+spinUntil(const Pred &ready)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + WorkerPool::kSpinBudget;
+    for (;;) {
+        for (int i = 0; i < 32; ++i) {
+            if (ready())
+                return true;
+            cpuRelax();
+        }
+        if (std::chrono::steady_clock::now() >= deadline)
+            return ready();
+        std::this_thread::yield();
+    }
+}
+
 } // namespace
 
 std::uint32_t
@@ -54,6 +85,9 @@ WorkerPool::WorkerPool(std::uint32_t workers) : workers_(workers)
     // caller's thread serves stripe 0, so spawn (threads - 1).
     std::uint32_t phys =
         forceThreads() ? workers_ : std::min(workers_, hw);
+    // A spinner on an oversubscribed host burns the timeslice of the
+    // very thread it waits for: park straight away there instead.
+    spin_ = phys <= hw;
     // Resolve the per-lane counters now, while construction is serial:
     // worker threads may only bump them (relaxed-atomic adds).
     if (obs::metricsOn()) {
@@ -72,10 +106,12 @@ WorkerPool::WorkerPool(std::uint32_t workers) : workers_(workers)
 WorkerPool::~WorkerPool()
 {
     {
+        // Under the mutex, so a worker between its predicate check and
+        // its wait cannot miss the notify.
         std::lock_guard<std::mutex> lk(mutex_);
         stop_ = true;
+        start_.notify_all();
     }
-    start_.notify_all();
     for (std::thread &t : threads_)
         t.join();
 }
@@ -99,24 +135,26 @@ void
 WorkerPool::threadMain(std::uint32_t stripe)
 {
     std::uint64_t seen = 0;
+    const auto woken = [&] { return stop_ || generation_ != seen; };
     for (;;) {
-        const LaneFn *job = nullptr;
-        {
+        if (!(spin_ && spinUntil(woken))) {
             std::unique_lock<std::mutex> lk(mutex_);
-            start_.wait(lk, [&] { return stop_ || generation_ != seen; });
-            if (stop_)
-                return;
-            seen = generation_;
-            job = job_;
+            ++parked_;
+            start_.wait(lk, woken);
+            --parked_;
         }
+        if (stop_)
+            return;
+        seen = generation_;
+        const LaneFn &job = *job_;
         const std::uint32_t stride = threadCount();
         for (std::uint32_t lane = stripe; lane < workers_; lane += stride)
-            runLane(*job, lane);
-        {
+            runLane(job, lane);
+        // The last worker out wakes the caller if it gave up spinning.
+        if (--remaining_ == 0 && caller_parked_) {
             std::lock_guard<std::mutex> lk(mutex_);
-            --remaining_;
+            done_.notify_one();
         }
-        done_.notify_one();
     }
 }
 
@@ -126,23 +164,30 @@ WorkerPool::run(const LaneFn &fn)
     const bool mlive = obs::metricsLive(obs_epoch_);
     const auto w0 = mlive ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
+    if (mlive)
+        ++runs_;
     if (threads_.empty()) {
         for (std::uint32_t lane = 0; lane < workers_; ++lane)
             runLane(fn, lane);
     } else {
-        {
+        job_ = &fn;
+        remaining_ = static_cast<std::uint32_t>(threads_.size());
+        ++generation_; // publishes job_ and remaining_
+        if (parked_ > 0) {
             std::lock_guard<std::mutex> lk(mutex_);
-            job_ = &fn;
-            remaining_ = static_cast<std::uint32_t>(threads_.size());
-            ++generation_;
+            start_.notify_all();
         }
-        start_.notify_all();
         // The caller is stripe 0 of the round.
         const std::uint32_t stride = threadCount();
         for (std::uint32_t lane = 0; lane < workers_; lane += stride)
             runLane(fn, lane);
-        std::unique_lock<std::mutex> lk(mutex_);
-        done_.wait(lk, [&] { return remaining_ == 0; });
+        const auto done = [&] { return remaining_ == 0; };
+        if (!(spin_ && spinUntil(done))) {
+            std::unique_lock<std::mutex> lk(mutex_);
+            caller_parked_ = true;
+            done_.wait(lk, done);
+            caller_parked_ = false;
+        }
         job_ = nullptr;
     }
     if (mlive) {
@@ -158,10 +203,12 @@ WorkerPool::publishMetrics()
 {
     if (!obs::metricsLive(obs_epoch_))
         return;
+    obs::Registry &m = obs::metrics();
+    m.counter("host.pool.dispatches").add(runs_ - pub_runs_);
+    pub_runs_ = runs_;
     const std::uint64_t wall = wall_->value();
     if (wall == 0)
         return;
-    obs::Registry &m = obs::metrics();
     for (std::uint32_t t = 0; t < workers_; ++t) {
         m.gauge("host.pool.lane" + std::to_string(t) + ".busy_frac")
             .set(static_cast<double>(lane_busy_[t]->value()) /

@@ -16,11 +16,23 @@
  * per worker regardless of core count — the ThreadSanitizer tier uses
  * it so cross-thread synchronization is exercised even on small CI
  * hosts.
+ *
+ * The handoff spins, then parks. Rounds are published through atomics;
+ * an idle worker (and the caller awaiting a round's barrier) busy-waits
+ * for up to kSpinBudget before sleeping on a condition variable, and
+ * run() pays for a futex wake only when some worker actually parked.
+ * Back-to-back rounds — the sharded event queue's waves, microseconds
+ * apart — thus never enter the kernel. An oversubscribed pool (more
+ * threads than hardware_concurrency(), e.g. forced threads on a small
+ * host) parks immediately instead, so it never spins against the very
+ * thread it waits for.
  */
 
 #ifndef FCOS_SIM_WORKER_POOL_H
 #define FCOS_SIM_WORKER_POOL_H
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -37,6 +49,15 @@ class WorkerPool
   public:
     /** A job executed once per lane; lane is in [0, workerCount()). */
     using LaneFn = std::function<void(std::uint32_t lane)>;
+
+    /**
+     * How long an idle thread spins on the round state before parking.
+     * A round handed off through condition-variable wakeups alone
+     * measured 8-12 us on a 4-vCPU x86 host; a few of those covers
+     * the gap between consecutive waves of a serving drain while
+     * bounding the CPU an idle pool burns.
+     */
+    static constexpr std::chrono::microseconds kSpinBudget{50};
 
     /** @param workers  number of logical worker lanes (>= 1). */
     explicit WorkerPool(std::uint32_t workers);
@@ -74,10 +95,12 @@ class WorkerPool
 
     /**
      * Publish per-lane busy fractions (lane wall time / pool wall
-     * time) as "host.pool.lane<i>.busy_frac" gauges. Host-clock
-     * derived, hence the "host." prefix — excluded from deterministic
-     * renders. Serial contexts only (e.g. after a drain). No-op unless
-     * metrics were on when the pool was constructed.
+     * time) as "host.pool.lane<i>.busy_frac" gauges and the run()
+     * count since the last publish into "host.pool.dispatches".
+     * Host-clock derived, hence the "host." prefix — excluded from
+     * deterministic renders. Serial contexts only (e.g. after a
+     * drain). No-op unless metrics were on when the pool was
+     * constructed.
      */
     void publishMetrics();
 
@@ -88,7 +111,8 @@ class WorkerPool
     void runLane(const LaneFn &fn, std::uint32_t lane);
 
     std::uint32_t workers_;
-    std::vector<std::thread> threads_;
+    /** Spin before parking; false when threads outnumber cores. */
+    bool spin_ = false;
 
     /** Metrics epoch at construction plus per-lane busy-nanosecond
      *  counters (Counter is relaxed-atomic: lanes bump concurrently)
@@ -96,14 +120,31 @@ class WorkerPool
     std::uint64_t obs_epoch_ = 0;
     std::vector<obs::Counter *> lane_busy_;
     obs::Counter *wall_ = nullptr;
+    std::uint64_t runs_ = 0;
+    std::uint64_t pub_runs_ = 0;
 
+    /** Round state. job_ is written before the generation_ bump that
+     *  publishes it and read only after observing that bump. The
+     *  atomics use the default seq_cst order: beyond release/acquire,
+     *  the park handshake needs "I parked, then re-checked" and "I
+     *  published, then checked for parkers" to be totally ordered, so
+     *  one side always sees the other and no wakeup is lost. */
+    const LaneFn *job_ = nullptr;
+    std::atomic<std::uint64_t> generation_{0};
+    std::atomic<std::uint32_t> remaining_{0};
+    std::atomic<bool> stop_{false};
+    /** Workers asleep on start_ / the caller asleep on done_. */
+    std::atomic<std::uint32_t> parked_{0};
+    std::atomic<bool> caller_parked_{false};
+
+    /** Held only across park/wake, so a sleeper re-checks its
+     *  predicate before any notify can slip past it. */
     std::mutex mutex_;
     std::condition_variable start_;
     std::condition_variable done_;
-    const LaneFn *job_ = nullptr;
-    std::uint64_t generation_ = 0;
-    std::uint32_t remaining_ = 0;
-    bool stop_ = false;
+
+    /** Declared last: the threads use every member above. */
+    std::vector<std::thread> threads_;
 };
 
 } // namespace fcos

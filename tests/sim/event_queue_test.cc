@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -238,6 +239,93 @@ TEST(EventQueueTest, ParallelRunIsBitIdenticalToSerial)
     EXPECT_EQ(shardedWorkloadTrace(2), serial);
     EXPECT_EQ(shardedWorkloadTrace(4), serial);
     EXPECT_EQ(shardedWorkloadTrace(7), serial);
+}
+
+// One wave at t=1 of sharded events on @p shards, run on a 4-lane pool
+// or serially; each work records the thread it ran on, each commit its
+// event's index.
+struct WaveThreads
+{
+    std::vector<std::thread::id> workThreads;
+    std::vector<std::size_t> commits;
+    std::uint32_t poolThreads = 0;
+};
+
+WaveThreads
+runOneWave(const std::vector<std::uint32_t> &shards, bool parallel)
+{
+    EventQueue q;
+    WaveThreads out;
+    out.workThreads.resize(shards.size());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        std::thread::id *slot = &out.workThreads[i];
+        q.scheduleSharded(
+            1, shards[i], [slot] { *slot = std::this_thread::get_id(); },
+            [&out, i] { out.commits.push_back(i); });
+    }
+    if (parallel) {
+        WorkerPool pool(4);
+        out.poolThreads = pool.threadCount();
+        q.run(pool);
+    } else {
+        q.run();
+    }
+    return out;
+}
+
+TEST(EventQueueTest, OneLaneWaveRunsInlineOnTheCaller)
+{
+    // Shards 1, 5 and 9 all map to lane 1 of a 4-lane pool: the pool
+    // could only run them serially, so they never leave the caller.
+    const std::vector<std::uint32_t> shards = {1, 5, 9, 1};
+    const WaveThreads par = runOneWave(shards, true);
+    for (const std::thread::id &id : par.workThreads)
+        EXPECT_EQ(id, std::this_thread::get_id());
+    EXPECT_EQ(par.commits, runOneWave(shards, false).commits);
+}
+
+TEST(EventQueueTest, MultiLaneWaveStillRunsOnThePool)
+{
+    // Shards 0..3 span every lane. With more than one pool thread
+    // (always under FCOS_FORCE_THREADS=1) the lanes not striped onto
+    // the caller run on worker threads.
+    const std::vector<std::uint32_t> shards = {0, 1, 2, 3, 4, 5, 6, 7};
+    const WaveThreads par = runOneWave(shards, true);
+    if (WorkerPool::forceThreads()) {
+        EXPECT_EQ(par.poolThreads, 4u);
+    }
+    std::size_t off_thread = 0;
+    for (const std::thread::id &id : par.workThreads)
+        off_thread += id != std::this_thread::get_id();
+    if (par.poolThreads > 1) {
+        EXPECT_GT(off_thread, 0u);
+    } else {
+        EXPECT_EQ(off_thread, 0u);
+    }
+    EXPECT_EQ(par.commits, runOneWave(shards, false).commits);
+}
+
+TEST(EventQueueTest, InlineAndDispatchedWavesAreCounted)
+{
+    obs::ScopedCapture capture(/*trace=*/false, /*metrics=*/true);
+    EventQueue q;
+    WorkerPool pool(4);
+    // t=1: one lane (shards 2, 6); t=2: two lanes (shards 0, 1); t=3:
+    // commit-only, which is neither.
+    for (std::uint32_t shard : {2u, 6u})
+        q.scheduleSharded(1, shard, [] {}, [] {});
+    for (std::uint32_t shard : {0u, 1u})
+        q.scheduleSharded(2, shard, [] {}, [] {});
+    q.schedule(3, [] {});
+    q.run(pool);
+    q.publishMetrics();
+    pool.publishMetrics();
+    obs::Registry &m = obs::metrics();
+    const bool threaded = pool.threadCount() > 1;
+    EXPECT_EQ(m.counter("host.pool.inline_waves").value(),
+              threaded ? 1u : 2u);
+    EXPECT_EQ(m.counter("host.pool.dispatches").value(),
+              threaded ? 1u : 0u);
 }
 
 TEST(EventQueueTest, SteadyStateEventsDoNotTouchTheHeap)
