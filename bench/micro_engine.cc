@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate:
- * event-queue throughput, bulk bit-vector operations, MWS execution on
+ * event-queue throughput, bulk bit-vector operations, seeded page
+ * generation, MWS execution on
  * the functional chip, BCH coding, and plan compilation. These bound
  * how large a workload the timing/functional simulators can sustain.
  */
@@ -50,6 +51,25 @@ BM_BitVectorAnd(benchmark::State &state)
                             static_cast<std::int64_t>(bits / 8));
 }
 BENCHMARK(BM_BitVectorAnd)->Arg(16 * 1024 * 8)->Arg(1024 * 1024 * 8);
+
+void
+BM_BitVectorRandomize(benchmark::State &state)
+{
+    // One 16-KiB page at density range(0)/100: 50 takes the one-word-
+    // per-draw path (bulk AND3 operands), any other density the
+    // one-draw-per-bit Bernoulli path (98: the BMI bitmaps). This is
+    // the kernel behind NAND page materialization.
+    const double p_one = static_cast<double>(state.range(0)) / 100.0;
+    Rng rng = Rng::seeded(3);
+    BitVector page(16 * 1024 * 8);
+    for (auto _ : state) {
+        page.randomize(rng, p_one);
+        benchmark::DoNotOptimize(page.words().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations()); // pages
+}
+BENCHMARK(BM_BitVectorRandomize)->Arg(50)->Arg(98);
 
 void
 BM_ChipMws48(benchmark::State &state)

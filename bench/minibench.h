@@ -4,8 +4,8 @@
  * Benchmark when the build found it (FCOS_HAVE_GOOGLE_BENCHMARK),
  * otherwise provides a minimal vendored implementation of the subset
  * the benches use — State with `for (auto _ : state)`, range(),
- * SetItemsProcessed / SetBytesProcessed, DoNotOptimize, BENCHMARK()
- * with ->Arg() chaining, and BENCHMARK_MAIN().
+ * SetItemsProcessed / SetBytesProcessed, DoNotOptimize, ClobberMemory,
+ * BENCHMARK() with ->Arg() chaining, and BENCHMARK_MAIN().
  *
  * The fallback keeps bench_micro_engine building and running
  * everywhere instead of silently disappearing from the build (ROADMAP
@@ -119,6 +119,12 @@ inline void
 DoNotOptimize(T const &value)
 {
     asm volatile("" : : "r,m"(value) : "memory");
+}
+
+inline void
+ClobberMemory()
+{
+    asm volatile("" : : : "memory");
 }
 
 namespace detail {

@@ -8,18 +8,6 @@ namespace fcos::core {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t
-fnvWord(std::uint64_t h, std::uint64_t word)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (word >> (8 * i)) & 0xFF;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 /** Fold the valid prefix of @p chunk into @p h: whole words plus a
  *  masked tail word, with the chunk index mixed in first so chunk
  *  order is part of the digest. */

@@ -34,6 +34,7 @@
 
 #include "nand/page_store.h"
 #include "util/bitvector.h"
+#include "util/fnv.h"
 
 namespace fcos::core {
 
@@ -119,7 +120,7 @@ class DigestSink final : public ResultSink
                                   std::uint64_t page_bits);
 
   private:
-    std::uint64_t digest_ = 14695981039346656037ULL; ///< FNV offset
+    std::uint64_t digest_ = kFnvOffset;
 };
 
 /** Running population count over the valid bits of every chunk. */

@@ -6,16 +6,12 @@
 #include <cstdio>
 #include <functional>
 
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/units.h"
 
 namespace fcos::core {
 namespace {
-
-// Same FNV-1a constants as DigestSink — the traffic digest is a fold
-// of per-request stream digests in submission order.
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 constexpr std::size_t kPoolGroups = 4;
 constexpr std::size_t kVectorBits = 1000; ///< 4 tiny-geometry pages
@@ -138,11 +134,11 @@ runMixedTraffic(const TrafficConfig &cfg)
         p.byClass[c] = summarize(lats[c]);
     p.makespan = drive.now() - t0;
     p.energyJ = drive.engine().totalEnergyJ();
+    // The traffic digest folds per-request stream digests in
+    // submission order.
     std::uint64_t d = kFnvOffset;
-    for (const DigestSink &s : sinks) {
-        d ^= s.digest();
-        d *= kFnvPrime;
-    }
+    for (const DigestSink &s : sinks)
+        d = fnvStep(d, s.digest());
     p.digest = d;
     p.wallSeconds = wall.count();
     p.requestsPerSecond =
@@ -406,10 +402,8 @@ runClosedLoopTraffic(const ClosedLoopConfig &cfg)
     p.makespan = drive.now() - t0;
     p.energyJ = drive.engine().totalEnergyJ();
     std::uint64_t d = kFnvOffset;
-    for (const Chain &ch : chains) {
-        d ^= ch.sink.digest();
-        d *= kFnvPrime;
-    }
+    for (const Chain &ch : chains)
+        d = fnvStep(d, ch.sink.digest());
     p.digest = d;
     p.wallSeconds = wall.count();
     p.requestsPerSecond =

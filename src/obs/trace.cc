@@ -1,19 +1,9 @@
 #include "obs/trace.h"
 
+#include "util/fnv.h"
 #include "util/log.h"
 
 namespace fcos::obs {
-
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
 
 std::uint32_t
 Tracer::newProcess(std::string name)

@@ -94,9 +94,6 @@ class Tracer
     std::uint64_t events_ = 0;
 };
 
-/** FNV-1a over a byte string (shared with core::DigestSink's scheme). */
-std::uint64_t fnv1a(const std::string &bytes);
-
 } // namespace fcos::obs
 
 #endif // FCOS_OBS_TRACE_H

@@ -215,30 +215,14 @@ BitVector::hammingDistance(const BitVector &o) const
 void
 BitVector::randomize(Rng &rng, double p_one)
 {
-    if (p_one == 0.5) {
-        for (auto &w : words_)
-            w = rng.nextU64();
-    } else {
-        // One Bernoulli draw per bit, in ascending bit order — the draw
-        // stream is part of the reproducibility contract (goldens seed
-        // pages through here) — but accumulated in a register so the
-        // vector is written one word at a time, not read-modify-write
-        // per bit.
-        const std::size_t full = nbits_ >> 6;
-        for (std::size_t wi = 0; wi < full; ++wi) {
-            std::uint64_t w = 0;
-            for (unsigned j = 0; j < 64; ++j)
-                w |= std::uint64_t{rng.bernoulli(p_one)} << j;
-            words_[wi] = w;
-        }
-        const unsigned tail = nbits_ & 63;
-        if (tail) {
-            std::uint64_t w = 0;
-            for (unsigned j = 0; j < tail; ++j)
-                w |= std::uint64_t{rng.bernoulli(p_one)} << j;
-            words_[full] = w;
-        }
-    }
+    // The draw stream is part of the reproducibility contract (goldens
+    // seed pages through here): p = 0.5 takes one nextU64() per word,
+    // any other p one bernoulli() per bit in ascending order. Rng
+    // generates both a state block at a time.
+    if (p_one == 0.5)
+        rng.fillU64(words_.data(), words_.size());
+    else
+        rng.fillBernoulli(words_.data(), nbits_, p_one);
     clearTail();
 }
 

@@ -5,15 +5,84 @@
  * All randomness in the library flows through Rng so that every
  * experiment is reproducible from a single seed. Child generators can be
  * forked deterministically per component (per chip, per block, ...).
+ *
+ * The draw stream is part of the reproducibility contract: goldens and
+ * digests seed pages through it. Rng's engine is an in-repo MT19937-64
+ * that yields exactly the sequence of std::mt19937_64 (the C++ standard
+ * fixes it), and scalar draws go through the standard <random>
+ * distributions. What the in-repo engine adds is block-at-a-time
+ * generation: fillU64() and fillBernoulli() produce the same words and
+ * bits as the matching run of nextU64() / bernoulli() calls, and leave
+ * the engine in the same state, but twist and temper the 312-word state
+ * in tight branchless loops instead of one call per draw. A Bernoulli
+ * bit is an integer compare of the draw against bernoulliThreshold(p),
+ * never a conversion to double.
  */
 
 #ifndef FCOS_UTIL_RNG_H
 #define FCOS_UTIL_RNG_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 namespace fcos {
+
+/**
+ * MT19937-64, the generator the C++ standard names std::mt19937_64:
+ * same seeding, twist and tempering, so the same outputs (the
+ * standard's check value, the 10000th output of a default-seeded
+ * engine, is 9981545732273789042). It is a UniformRandomBitGenerator,
+ * so <random> distributions draw from it exactly as from the standard
+ * engine; the bulk entry points below are what it adds.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    static constexpr std::size_t kStateWords = 312;
+    static constexpr result_type kDefaultSeed = 5489u;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    explicit Mt19937_64(result_type seed = kDefaultSeed);
+
+    result_type operator()()
+    {
+        if (next_ >= kStateWords)
+            twist();
+        return temper(state_[next_++]);
+    }
+
+    /** The next @p n outputs, in order, into @p out. */
+    void fill(std::uint64_t *out, std::size_t n);
+
+    /**
+     * Draw @p nbits outputs and pack `output < threshold` into @p out,
+     * bit i of the run at bit (i % 64) of word i / 64. Bits past
+     * @p nbits in the last word are zero.
+     */
+    void lessThanBits(std::uint64_t *out, std::size_t nbits,
+                      std::uint64_t threshold);
+
+  private:
+    static result_type temper(result_type y)
+    {
+        y ^= (y >> 29) & 0x5555555555555555ULL;
+        y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+        y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+        return y ^ (y >> 43);
+    }
+
+    /** Regenerate all kStateWords state words and rewind next_. */
+    void twist();
+
+    std::array<std::uint64_t, kStateWords> state_; ///< set by the ctor
+    std::size_t next_ = kStateWords;              ///< next unread word
+};
 
 class Rng
 {
@@ -22,6 +91,9 @@ class Rng
 
     /** Uniform 64-bit word. */
     std::uint64_t nextU64() { return engine_(); }
+
+    /** Same as @p n nextU64() calls, stored in order into @p out. */
+    void fillU64(std::uint64_t *out, std::size_t n) { engine_.fill(out, n); }
 
     /** Uniform integer in [0, bound). @p bound must be > 0. */
     std::uint64_t nextBounded(std::uint64_t bound)
@@ -45,6 +117,21 @@ class Rng
             return true;
         return nextDouble() < p;
     }
+
+    /**
+     * Same draws and outcomes as @p nbits bernoulli(@p p) calls, packed
+     * bit i at bit (i % 64) of word i / 64 of @p out; bits past @p nbits
+     * in the last word are zero.
+     */
+    void fillBernoulli(std::uint64_t *out, std::size_t nbits, double p);
+
+    /**
+     * The number of engine outputs u for which bernoulli(p) succeeds,
+     * for p < 1: bernoulli(p) == (u < bernoulliThreshold(p)) when
+     * 0 < p < 1, and a NaN p gives 0 (no draw succeeds, as in
+     * bernoulli()).
+     */
+    static std::uint64_t bernoulliThreshold(double p);
 
     /** Normal sample. */
     double gaussian(double mean, double sigma)
@@ -113,7 +200,7 @@ class Rng
     }
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
     std::uint64_t seed_mix_ = 0x6A09E667F3BCC908ULL;
 };
 

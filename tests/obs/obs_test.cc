@@ -17,6 +17,7 @@
 #include "tests/support/golden.h"
 #include "tests/support/random_fixture.h"
 #include "tests/support/trace_check.h"
+#include "util/fnv.h"
 
 namespace fcos {
 namespace {
@@ -137,7 +138,7 @@ TEST(ObsTraceTest, JsonIsSchemaValidAndDigestStable)
 
     const std::string json = t.toJson();
     EXPECT_TRUE(test::IsValidChromeTrace(json));
-    EXPECT_EQ(t.digest(), obs::fnv1a(json));
+    EXPECT_EQ(t.digest(), fnv1a(json));
 
     // Same recording => same JSON => same digest.
     obs::Tracer u;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/bitvector.h"
 #include "util/rng.h"
 
@@ -281,19 +283,64 @@ TEST(BitVectorPropertyTest, SlicePasteRandomizedRoundTrips)
 
 TEST(BitVectorPropertyTest, BiasedRandomizeDrawStreamIsStable)
 {
-    // The word-accumulating biased randomize must consume the Rng
-    // exactly like the historical bit-loop: one bernoulli per bit, in
-    // ascending order. Goldens seed pages through this path.
-    for (std::size_t n : {1u, 63u, 64u, 65u, 130u, 1000u}) {
-        Rng r1 = Rng::seeded(5), r2 = Rng::seeded(5);
-        BitVector fast(n);
-        fast.randomize(r1, 0.2);
-        BitVector ref(n);
-        for (std::size_t i = 0; i < n; ++i)
-            ref.set(i, r2.bernoulli(0.2));
-        EXPECT_EQ(fast, ref) << "n=" << n;
-        // Both rngs must land in the same state.
-        EXPECT_EQ(r1.nextU64(), r2.nextU64());
+    // The block-generated biased randomize must consume the Rng exactly
+    // like the historical bit-loop: one bernoulli per bit, in ascending
+    // order, none at all for p <= 0 or p >= 1. Goldens seed pages
+    // through this path. Sizes straddle words and twist blocks (312
+    // draws); the Rng starts at several offsets into a block.
+    const double nan = std::nan("");
+    for (std::size_t n :
+         {1u, 63u, 64u, 65u, 311u, 312u, 313u, 625u, 131072u}) {
+        for (double p : {0.98, 0.2, 1e-12, 1.0 - 0x1p-53, 0.0, 1.0, nan}) {
+            for (std::size_t k : {0u, 1u, 200u, 311u}) {
+                Rng r1 = Rng::seeded(5), r2 = Rng::seeded(5);
+                for (std::size_t i = 0; i < k; ++i) {
+                    r1.nextU64();
+                    r2.nextU64();
+                }
+                BitVector fast(n);
+                fast.randomize(r1, p);
+                BitVector ref(n);
+                for (std::size_t i = 0; i < n; ++i)
+                    ref.set(i, r2.bernoulli(p));
+                EXPECT_EQ(fast, ref) << "n=" << n << " p=" << p
+                                     << " k=" << k;
+                // Both rngs must land in the same state.
+                EXPECT_EQ(r1.nextU64(), r2.nextU64())
+                    << "n=" << n << " p=" << p << " k=" << k;
+            }
+        }
+    }
+}
+
+TEST(BitVectorPropertyTest, NanDensityRandomizeDrawsAndStaysZero)
+{
+    // bernoulli(NaN) draws and fails, so a NaN density consumes one
+    // draw per bit and yields all zeros.
+    Rng r1 = Rng::seeded(6), r2 = Rng::seeded(6);
+    BitVector v(1000, true);
+    v.randomize(r1, std::nan(""));
+    EXPECT_EQ(v.popcount(), 0u);
+    for (int i = 0; i < 1000; ++i)
+        r2.nextU64();
+    EXPECT_EQ(r1.nextU64(), r2.nextU64());
+}
+
+TEST(BitVectorPropertyTest, UniformRandomizeTakesOneWordPerDraw)
+{
+    for (std::size_t n : {1u, 64u, 65u, 312u * 64u + 1u, 131072u}) {
+        Rng r1 = Rng::seeded(7), r2 = Rng::seeded(7);
+        r1.nextU64();
+        r2.nextU64();
+        BitVector v(n);
+        v.randomize(r1, 0.5);
+        for (std::size_t w = 0; w < v.words().size(); ++w) {
+            std::uint64_t want = r2.nextU64();
+            if (w + 1 == v.words().size() && (n & 63))
+                want &= (1ULL << (n & 63)) - 1;
+            ASSERT_EQ(v.words()[w], want) << "n=" << n << " w=" << w;
+        }
+        EXPECT_EQ(r1.nextU64(), r2.nextU64()) << "n=" << n;
     }
 }
 
