@@ -3,8 +3,8 @@
  * Shared helpers for the figure/table regeneration benches.
  *
  * Every bench prints (i) the paper's quoted anchor values and (ii) the
- * values this reproduction measures, so EXPERIMENTS.md rows can be
- * checked straight from bench output.
+ * values this reproduction measures, so each anchor can be checked
+ * straight from bench output.
  */
 
 #ifndef FCOS_BENCH_BENCH_UTIL_H

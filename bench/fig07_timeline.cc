@@ -7,8 +7,7 @@
  *
  * The table comes from the shared plat::fig07TimelineTable builder
  * (golden-pinned in tests/platforms/report_golden_test.cc) and runs
- * through the compute engine by default; the analytic path is printed
- * alongside for cross-validation.
+ * through the compute engine.
  *
  * Paper anchors: OSP 471 us (external-I/O bound), ISP 431 us
  * (internal-I/O bound), IFP 335 us (sensing bound).
@@ -28,20 +27,15 @@ main(int argc, char **argv)
                   "three 1-MiB vectors)");
 
     ssd::SsdConfig cfg = ssd::SsdConfig::figure7();
-    plat::PlatformRunner engine_runner(cfg);
-    plat::PlatformRunner analytic_runner(cfg, host::HostConfig{},
-                                         plat::RunnerMode::Analytic);
+    plat::PlatformRunner runner(cfg);
 
-    plat::fig07TimelineTable(engine_runner).print();
-    std::printf("\n");
-    plat::fig07TimelineTable(analytic_runner).print();
+    plat::fig07TimelineTable(runner).print();
     std::printf("\n");
 
     wl::Workload w = plat::figure7Workload();
-    plat::RunResult osp = engine_runner.run(plat::PlatformKind::Osp, w);
-    plat::RunResult isp = engine_runner.run(plat::PlatformKind::Isp, w);
-    plat::RunResult ifp =
-        engine_runner.run(plat::PlatformKind::ParaBit, w);
+    plat::RunResult osp = runner.run(plat::PlatformKind::Osp, w);
+    plat::RunResult isp = runner.run(plat::PlatformKind::Isp, w);
+    plat::RunResult ifp = runner.run(plat::PlatformKind::ParaBit, w);
     bench::anchor("OSP execution time", "471 us",
                   formatTime(osp.makespan));
     bench::anchor("ISP execution time", "431 us",

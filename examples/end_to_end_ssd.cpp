@@ -1,33 +1,34 @@
 /**
  * @file
- * End-to-end SSD example: the firmware path (paper Section 6.3).
+ * End-to-end SSD example: the fc_write / fc_read path (paper
+ * Section 6.3) on the functional drive.
  *
- * Uses FcFirmware, which executes every request both functionally
- * (bit-exact through the latch models) and on the event-driven timing
- * simulator, so each call returns its data *and* its completion time
- * and energy on the configured SSD.
+ * Every request executes bit-exactly through the latch models on the
+ * compute engine's event-driven timeline, so each call leaves its
+ * completion time (drive.now(), ReadStats::makespan) and its energy
+ * (the engine's ledger) behind. The drive's ledger covers the dies and
+ * channels; the host link is modelled by the platform runner
+ * (platforms/runner.h: OSP / ISP / FC).
  */
 
 #include <cstdio>
 
-#include "core/firmware.h"
+#include "core/drive.h"
 #include "util/rng.h"
 
 using namespace fcos;
 using core::Expr;
-using core::FcFirmware;
 using core::FlashCosmosDrive;
 
 int
 main()
 {
-    std::printf("End-to-end SSD (firmware) example\n");
-    std::printf("=================================\n\n");
+    std::printf("End-to-end SSD (drive) example\n");
+    std::printf("==============================\n\n");
 
     FlashCosmosDrive::Config drive_cfg;
     drive_cfg.dies = 8;
     FlashCosmosDrive drive(drive_cfg);
-    FcFirmware fw(drive, ssd::SsdConfig::table1());
 
     Rng rng = Rng::seeded(1);
     const std::size_t bits = 16000;
@@ -39,34 +40,33 @@ main()
                 bits);
     std::vector<BitVector> data;
     std::vector<Expr> leaves;
-    Time last_write = 0;
     for (int i = 0; i < 12; ++i) {
         BitVector v(bits);
         v.randomize(rng);
-        auto w = fw.fcWrite(v, group);
-        leaves.push_back(Expr::leaf(w.id));
+        leaves.push_back(Expr::leaf(drive.fcWrite(v, group)));
         data.push_back(std::move(v));
-        last_write = w.completedAt;
     }
+    const Time writes_done = drive.now();
     std::printf("  all writes complete at t = %s\n\n",
-                formatTime(last_write).c_str());
+                formatTime(writes_done).c_str());
 
     std::printf("fc_read: AND of all 12 operands...\n");
-    auto r = fw.fcRead(Expr::And(leaves));
+    FlashCosmosDrive::ReadStats stats;
+    BitVector result = drive.fcRead(Expr::And(leaves), &stats);
 
     BitVector expected = data[0];
     for (int i = 1; i < 12; ++i)
         expected &= data[i];
 
     std::printf("  result %s\n",
-                r.data == expected ? "bit-exact" : "INCORRECT");
-    std::printf("  completed at t = %s (query latency %s)\n",
-                formatTime(r.completedAt).c_str(),
-                formatTime(r.completedAt - last_write).c_str());
+                result == expected ? "bit-exact" : "INCORRECT");
+    std::printf("  completed at t = %s (query makespan %s)\n",
+                formatTime(drive.now()).c_str(),
+                formatTime(stats.makespan).c_str());
     std::printf("  MWS commands issued: %llu (%llu result pages)\n",
-                (unsigned long long)r.stats.mwsCommands,
-                (unsigned long long)r.stats.resultPages);
-    std::printf("\nSSD-side energy breakdown:\n%s",
-                fw.sim().energy().breakdown().c_str());
-    return r.data == expected ? 0 : 1;
+                (unsigned long long)stats.mwsCommands,
+                (unsigned long long)stats.resultPages);
+    std::printf("\nDie + channel energy breakdown:\n%s",
+                drive.engine().energy().breakdown().c_str());
+    return result == expected ? 0 : 1;
 }

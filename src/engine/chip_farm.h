@@ -41,8 +41,7 @@ struct FarmConfig
      *  the two backends are bit-for-bit equivalent (page_store.h). */
     nand::PageStoreKind pageStore = nand::PageStoreKind::Sparse;
 
-    /** I/O-rate/energy constants, shared with ssd::SsdConfig so the
-     *  engine and the analytic simulator cannot drift. */
+    /** I/O-rate/energy constants (ssd::SsdConfig::io via fromSsd). */
     ssd::IoParams io{};
 
     /** Host worker lanes sharding die functions during drain().

@@ -15,8 +15,7 @@
  *    running at the simulated instant the plane becomes free — so
  *    per-plane sense sequences (which seed the error model) are
  *    identical to a fully serialized run. Planes of one die are
- *    independent: they sense concurrently, exactly like the per-plane
- *    facilities of ssd/ssd_sim;
+ *    independent: they sense concurrently;
  *
  *  - each channel is one Facility shared by its dies; result readout
  *    and data-in transfers serialize on it in arrival order — this is

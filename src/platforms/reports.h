@@ -41,9 +41,8 @@ TablePrinter fig12MwsLatencyTable();
 /**
  * Figure 7: per-channel execution timelines of OSP, ISP and in-flash
  * processing for the illustrative OR of three 1-MiB vectors, with the
- * busiest resource called out per platform. Runs through @p runner
- * (engine mode by default), so the pinned golden certifies the
- * engine-produced timeline.
+ * busiest resource called out per platform. Runs through @p runner,
+ * so the pinned golden certifies the engine-produced timeline.
  */
 TablePrinter fig07TimelineTable(const PlatformRunner &runner);
 

@@ -124,6 +124,65 @@ TEST(SchedulerTest, SharedChannelSerializesDma)
     EXPECT_EQ(sched.channelBusyTime(0), 2 * dma);
 }
 
+TEST(SchedulerTest, ExternalLinkSerializesTransfers)
+{
+    ChipFarm farm(smallFarm(2, 1));
+    CommandScheduler sched(farm);
+    Time t1 = 0, t2 = 0;
+    sched.submitExternal(8000, [&] { t1 = sched.queue().now(); });
+    sched.submitExternal(8000, [&] { t2 = sched.queue().now(); });
+    sched.drain();
+    EXPECT_EQ(t1, 1000u); // 8000 B at 8 GB/s = 1 us
+    EXPECT_EQ(t2, 2000u);
+    EXPECT_EQ(sched.externalBusyTime(), 2000u);
+}
+
+TEST(SchedulerTest, AccelPortsRunPerChannel)
+{
+    ChipFarm farm(smallFarm(2, 1));
+    CommandScheduler sched(farm);
+    Time t1 = 0, t2 = 0;
+    sched.submitAccel(0, 16 * 1024, [&] { t1 = sched.queue().now(); });
+    sched.submitAccel(1, 16 * 1024, [&] { t2 = sched.queue().now(); });
+    sched.drain();
+    EXPECT_GT(t1, 0u);
+    EXPECT_EQ(t1, t2); // separate channels, parallel ports
+    EXPECT_GT(sched.energy().get(ssd::EnergyComponent::IspAccel), 0.0);
+}
+
+TEST(SchedulerTest, TransferEnergyBookkeeping)
+{
+    ChipFarm farm(smallFarm(1, 1));
+    CommandScheduler sched(farm);
+    sched.submitDma(0, 16 * 1024);
+    sched.submitExternal(16 * 1024);
+    sched.drain();
+    const ssd::EnergyMeter &e = sched.energy();
+    // 16 KiB * 8 bits * 2 pJ = 0.262 uJ on the channel.
+    EXPECT_NEAR(e.get(ssd::EnergyComponent::ChannelDma), 2.62e-7, 1e-9);
+    // 16 KiB * 8 bits * 10 pJ = 1.31 uJ on the external link.
+    EXPECT_NEAR(e.get(ssd::EnergyComponent::ExternalLink), 1.31e-6,
+                5e-9);
+}
+
+TEST(SchedulerTest, Table1PageTransferTimes)
+{
+    const ssd::SsdConfig cfg = ssd::SsdConfig::table1();
+    // 16 KiB at 1.2 GB/s ~ 13.65 us; at 8 GB/s ~ 2.05 us.
+    EXPECT_NEAR(timeToUs(cfg.pageDmaTime()), 13.65, 0.05);
+    EXPECT_NEAR(timeToUs(cfg.pageExternalTime()), 2.05, 0.05);
+
+    // The scheduler books exactly those times from the same IoParams.
+    FarmConfig fc = smallFarm(1, 1);
+    fc.io = cfg.io;
+    ChipFarm farm(fc);
+    CommandScheduler sched(farm);
+    sched.submitDma(0, cfg.geometry.pageBytes);
+    EXPECT_EQ(sched.drain(), cfg.pageDmaTime());
+    sched.submitExternal(cfg.geometry.pageBytes);
+    EXPECT_EQ(sched.drain(), cfg.pageDmaTime() + cfg.pageExternalTime());
+}
+
 TEST(ComputeEngineTest, ProgramReadsOutResultPage)
 {
     ComputeEngine eng(smallFarm(1, 2));

@@ -163,9 +163,9 @@ TEST(BeyondDramScaleTest, StreamedFunctionalWorkloadAtTable1Geometry)
               kBudgetBytes);
 
     // The streamed run stays on the timing-only driver's sense count.
-    plat::RunResult analytic =
+    plat::RunResult timing_only =
         runner.run(plat::PlatformKind::FlashCosmos, w);
-    EXPECT_EQ(timing.senseOps, analytic.senseOps);
+    EXPECT_EQ(timing.senseOps, timing_only.senseOps);
 
     TablePrinter t("Beyond-DRAM streamed functional run (AND3 + m5 mix)");
     t.setHeader({"metric", "value"});

@@ -179,8 +179,8 @@ TEST(EndToEndTest, FlashResultMatchesIspAccelerator)
 
 TEST(EndToEndTest, TimingAndFunctionalPathsAgreeOnSenseCounts)
 {
-    // The analytic sense count the timing simulator charges must match
-    // what the functional drive actually issues.
+    // The closed-form sense count the platform runner charges must
+    // match what the functional drive actually issues.
     FlashCosmosDrive drive;
     FlashCosmosDrive::WriteOptions group;
     group.group = 1;

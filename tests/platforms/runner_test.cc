@@ -64,18 +64,11 @@ class RunnerTest : public ::testing::Test
     PlatformRunner table1{ssd::SsdConfig::table1()};
 };
 
-TEST_F(RunnerTest, EngineModeIsTheDefault)
-{
-    EXPECT_EQ(fig7.mode(), RunnerMode::Engine);
-    EXPECT_STREQ(runnerModeName(RunnerMode::Engine), "engine");
-    EXPECT_STREQ(runnerModeName(RunnerMode::Analytic), "analytic");
-}
-
 TEST_F(RunnerTest, Figure7TimelineShape)
 {
     // Paper: OSP 471 us (external I/O bound), ISP 431 us (internal I/O
-    // bound), IFP(=ParaBit) 335 us (sensing bound). The default
-    // engine path must land on the same anchors.
+    // bound), IFP(=ParaBit) 335 us (sensing bound). The engine path
+    // must land on the same anchors.
     wl::Workload w = figure7Workload();
     RunResult osp = fig7.run(PlatformKind::Osp, w);
     RunResult isp = fig7.run(PlatformKind::Isp, w);
@@ -86,21 +79,6 @@ TEST_F(RunnerTest, Figure7TimelineShape)
     EXPECT_NEAR(timeToUs(ifp.makespan), 335.0, 335.0 * 0.08);
     EXPECT_GT(osp.makespan, isp.makespan);
     EXPECT_GT(isp.makespan, ifp.makespan);
-}
-
-TEST_F(RunnerTest, AnalyticModeMatchesTheSameAnchors)
-{
-    // The retained analytic path stays anchored to the paper numbers
-    // (full engine-vs-analytic parity lives in parity_test.cc).
-    wl::Workload w = figure7Workload();
-    RunResult osp = fig7.run(PlatformKind::Osp, w, RunnerMode::Analytic);
-    RunResult isp = fig7.run(PlatformKind::Isp, w, RunnerMode::Analytic);
-    RunResult ifp =
-        fig7.run(PlatformKind::ParaBit, w, RunnerMode::Analytic);
-
-    EXPECT_NEAR(timeToUs(osp.makespan), 471.0, 471.0 * 0.08);
-    EXPECT_NEAR(timeToUs(isp.makespan), 431.0, 431.0 * 0.08);
-    EXPECT_NEAR(timeToUs(ifp.makespan), 335.0, 335.0 * 0.08);
 }
 
 TEST_F(RunnerTest, Figure7Bottlenecks)
