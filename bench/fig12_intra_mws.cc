@@ -44,8 +44,7 @@ validate(std::uint32_t n, Rng &rng)
 
     BitVector expected(geom.pageBits(), true);
     for (std::uint32_t wl = 0; wl < 48; ++wl) {
-        chip.programPageEsp({0, 0, 0, wl}, pages[wl],
-                            nand::EspParams{2.0});
+        chip.programPageEsp({0, 0, 0, wl}, pages[wl]);
         if (mask & (1ULL << wl))
             expected &= pages[wl];
     }

@@ -59,7 +59,7 @@ main(int argc, char **argv)
     heavy.interArrivalUs = 2.0;
     std::uint64_t base_digest = 0;
     for (std::uint32_t workers : {1u, 2u, 4u}) {
-        heavy.workers = workers;
+        heavy.drive.workers = workers;
         const core::TrafficPoint p = core::runMixedTraffic(heavy);
         if (workers == 1)
             base_digest = p.digest;

@@ -88,8 +88,7 @@ replayAnd3(std::uint32_t workers, std::uint64_t rows, std::uint64_t seed)
     cfg.geometry = nand::Geometry::table1();
     cfg.workers = workers;
 
-    const std::uint32_t columns =
-        cfg.channels * cfg.dies * cfg.geometry.planesPerDie;
+    const std::uint32_t columns = cfg.columnCount();
     const std::uint64_t pages = rows * columns;
     auto gen = [seed](std::uint64_t vec) {
         return [seed, vec](std::uint64_t j) {
@@ -271,11 +270,11 @@ main(int argc, char **argv)
     std::vector<MixedCell> mixed;
     for (std::uint32_t workers : kWorkerCounts)
         mixed.push_back({workers, {}, false});
-    mixed_cfg.workers = 1;
+    mixed_cfg.drive.workers = 1;
     (void)core::runMixedTraffic(mixed_cfg); // warmup
     for (int rep = 0; rep < reps; ++rep) {
         for (MixedCell &cell : mixed) {
-            mixed_cfg.workers = cell.workers;
+            mixed_cfg.drive.workers = cell.workers;
             core::TrafficPoint p = core::runMixedTraffic(mixed_cfg);
             if (cell.set && cell.best.digest != p.digest) {
                 std::fprintf(stderr,
@@ -333,7 +332,7 @@ main(int argc, char **argv)
         soak.push_back({workers, {}, false});
     for (int rep = 0; rep < reps; ++rep) {
         for (SoakCell &cell : soak) {
-            soak_cfg.workers = cell.workers;
+            soak_cfg.drive.workers = cell.workers;
             core::ClosedLoopPoint p = core::runClosedLoopTraffic(soak_cfg);
             if (cell.set && cell.best.digest != p.digest) {
                 std::fprintf(stderr,

@@ -29,11 +29,11 @@ measure(nand::ProgramMode mode, std::uint64_t total_bytes)
     chan.channels = 1;
     chan.io.externalGBps = cfg.io.externalGBps / cfg.channels;
 
-    engine::ComputeEngine eng(engine::FarmConfig::fromSsd(chan));
+    engine::ComputeEngine eng(chan);
     engine::CommandScheduler &sched = eng.scheduler();
     const std::uint64_t page = cfg.geometry.pageBytes;
     const std::uint32_t planes_per_die = chan.geometry.planesPerDie;
-    const std::uint32_t planes = chan.totalPlanes();
+    const std::uint32_t planes = chan.columnCount();
     Time t_prog = cfg.timings.programLatency(mode);
     double e_prog = nand::PowerModel::energy(
         nand::PowerModel::kProgramPower, t_prog);

@@ -26,7 +26,7 @@ main(int argc, char **argv)
 
     std::printf("\nDerived totals: %u dies, %u planes, SLC die "
                 "capacity %s\n",
-                c.totalDies(), c.totalPlanes(),
+                c.dieCount(), c.columnCount(),
                 formatBytes(c.geometry.dieBytesSlc()).c_str());
     return 0;
 }

@@ -25,34 +25,6 @@ applyObsKnobs(const FlashCosmosDrive::Config &cfg)
     return cfg;
 }
 
-engine::FarmConfig
-farmConfigFor(const FlashCosmosDrive::Config &cfg)
-{
-    engine::FarmConfig fc;
-    fc.channels = cfg.channels;
-    fc.diesPerChannel = cfg.dies;
-    fc.geometry = cfg.geometry;
-    fc.timings = cfg.timings;
-    fc.pageStore = cfg.pageStore;
-    fc.io = cfg.io;
-    fc.workers = cfg.workers;
-    return fc;
-}
-
-engine::RequestQueue::Config
-admissionConfigFor(const FlashCosmosDrive::Config &cfg)
-{
-    engine::RequestQueue::Config rc;
-    rc.depth = cfg.admissionDepth;
-    rc.weights[static_cast<std::size_t>(engine::RequestClass::Read)] =
-        cfg.qosReadWeight;
-    rc.weights[static_cast<std::size_t>(engine::RequestClass::Write)] =
-        cfg.qosWriteWeight;
-    rc.weights[static_cast<std::size_t>(engine::RequestClass::Compute)] =
-        cfg.qosComputeWeight;
-    return rc;
-}
-
 /** Emit adapter shared by every streamed read path: clamps page @p j
  *  to the vector's @p bits tail and hands it to @p sink. */
 engine::OrderedChunkStream::Emit
@@ -96,12 +68,10 @@ struct OpJob
 FlashCosmosDrive::FlashCosmosDrive() : FlashCosmosDrive(Config{}) {}
 
 FlashCosmosDrive::FlashCosmosDrive(const Config &cfg)
-    : cfg_(applyObsKnobs(cfg)), engine_(farmConfigFor(cfg)),
-      rq_(engine_.scheduler(), admissionConfigFor(cfg)),
-      ftl_(cfg.channels * cfg.dies, cfg.geometry), planner_(*this)
+    : cfg_(applyObsKnobs(cfg)), engine_(cfg),
+      rq_(engine_.scheduler(), cfg.admission),
+      ftl_(cfg.dieCount(), cfg.geometry), planner_(*this)
 {
-    fcos_assert(cfg.dies > 0, "drive needs at least one die");
-    fcos_assert(cfg.channels > 0, "drive needs at least one channel");
     // Reserve one erased wordline per column for the final-NOT trick,
     // pinned so GC never relocates it (it must stay unprogrammed).
     erased_ref_.reserve(ftl_.columns());
@@ -386,18 +356,9 @@ FlashCosmosDrive::submitPageWrite(const ssd::PhysPage &dst,
     st.kind = engine::StepKind::Program;
     // Program data moves controller -> die over the channel first.
     st.dmaBeforeBytes = cfg_.geometry.pageBytes;
-    if (cfg_.defaultMode == nand::ProgramMode::SlcEsp) {
-        nand::EspParams esp{cfg_.espFactor};
-        st.run = [addr = dst.addr, data = std::move(page),
-                  esp](nand::NandChip &chip) {
-            return chip.programPageEsp(addr, data, esp);
-        };
-    } else {
-        st.run = [addr = dst.addr, data = std::move(page),
-                  mode = cfg_.defaultMode](nand::NandChip &chip) {
-            return chip.programPage(addr, data, mode);
-        };
-    }
+    st.run = [addr = dst.addr, data = std::move(page)](nand::NandChip &chip) {
+        return chip.programPageEsp(addr, data);
+    };
     p.steps.push_back(std::move(st));
     engine_.submit(std::move(p), stats);
 }
@@ -559,12 +520,11 @@ FlashCosmosDrive::submitReplicate(VectorId src, std::uint64_t pages,
     RequestId rid = rq_.submit(
         engine::RequestClass::Write, arrivalTime(ro),
         blockKeysOf({src_page}), std::move(write_keys),
-        [this, job, src_page, targets = std::move(targets),
-         esp = nand::EspParams{cfg_.espFactor}](RequestId req) {
+        [this, job, src_page, targets = std::move(targets)](RequestId req) {
             for (std::size_t j = 0; j < targets.size(); ++j)
                 rq_.addWork(req);
             engine_.broadcastPage(src_page.die, src_page.addr, targets,
-                                  esp, &job->os,
+                                  nand::EspParams{}, &job->os,
                                   [this, req] { rq_.workDone(req); });
         },
         [this, job, stats, hook = ro.onOutcome](
@@ -827,8 +787,7 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
         engine::RequestClass::Compute, arrivalTime(ro),
         std::move(read_keys), std::move(write_keys),
         [this, job, plan = std::move(plan), stored_expr, pages,
-         page_list = std::move(page_list),
-         esp = nand::EspParams{cfg_.espFactor}](RequestId req) {
+         page_list = std::move(page_list)](RequestId req) {
             for (std::size_t j = 0; j < pages; ++j) {
                 engine::ColumnProgram prog =
                     planProgram(plan, stored_expr, j);
@@ -842,9 +801,8 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
                 prog.readOutResult = false;
                 prog.steps.push_back(engine::ColumnStep{
                     engine::StepKind::Program,
-                    [addr = dst.addr, esp](nand::NandChip &chip) {
-                        return chip.programFromCache(
-                            addr, nand::ProgramMode::SlcEsp, esp);
+                    [addr = dst.addr](nand::NandChip &chip) {
+                        return chip.programFromCache(addr);
                     },
                     0, 0});
                 prog.onComplete = [this, req] { rq_.workDone(req); };

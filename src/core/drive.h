@@ -45,6 +45,7 @@
 #include "engine/admission.h"
 #include "engine/engine.h"
 #include "nand/chip.h"
+#include "ssd/config.h"
 #include "ssd/ftl.h"
 #include "util/bitvector.h"
 
@@ -96,26 +97,12 @@ struct DriveRequestOptions
 class FlashCosmosDrive : public StorageResolver
 {
   public:
-    struct Config
+    /** The drive's hardware shape (ssd::SsdConfig: channels, dies,
+     *  geometry, timings, I/O rates, worker lanes) plus its front end.
+     *  Operands are programmed with ESP at the Table-1 factor
+     *  (nand::EspParams). */
+    struct Config : ssd::SsdConfig
     {
-        /** Channel buses; dies of one channel share its bandwidth. */
-        std::uint32_t channels = 1;
-        /** Dies per channel (total dies = channels * dies). */
-        std::uint32_t dies = 2;
-        nand::Geometry geometry = nand::Geometry::tiny();
-        nand::Timings timings{};
-        /** Page-payload backend of every die (nand/page_store.h).
-         *  Sparse lets Table-1 geometries instantiate in tests. */
-        nand::PageStoreKind pageStore = nand::PageStoreKind::Sparse;
-        /** I/O-rate/energy constants (shared ssd/engine authority). */
-        ssd::IoParams io{};
-        /** Host worker lanes for engine execution (0 = FCOS_WORKERS
-         *  env default, 1 = serial); bit-identical at any count. */
-        std::uint32_t workers = 0;
-        /** ESP extension used for fcWrite (Table 1: 2.0 -> 400 us). */
-        double espFactor = 2.0;
-        /** Default programming mode for operands. */
-        nand::ProgramMode defaultMode = nand::ProgramMode::SlcEsp;
         /** Non-empty: enable the span tracer and write a Chrome
          *  trace_event JSON timeline here at process exit (same effect
          *  as FCOS_TRACE=<file>). */
@@ -123,16 +110,12 @@ class FlashCosmosDrive : public StorageResolver
         /** Non-empty: enable the metrics registry and write the
          *  end-of-run report here (same as FCOS_METRICS=<file>). */
         std::string metricsFile;
-        /** Admission window of the request queue: max concurrently
-         *  in-flight requests (submit* overlaps up to this many
+        /** Request-queue admission: the window of concurrently
+         *  in-flight requests (submit* overlaps up to depth
          *  conflict-free requests; the sync fc* wrappers never hold
-         *  more than one). */
-        std::uint32_t admissionDepth = 8;
-        /** QoS admission weights (reads : writes : compute) under
-         *  contention; see engine::RequestQueue. */
-        std::uint32_t qosReadWeight = 1;
-        std::uint32_t qosWriteWeight = 1;
-        std::uint32_t qosComputeWeight = 1;
+         *  more than one) and the QoS weights (reads : writes :
+         *  compute) under contention; see engine::RequestQueue. */
+        engine::RequestQueue::Config admission;
     };
 
     /** Construct with a test-friendly tiny geometry. */

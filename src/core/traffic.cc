@@ -1,11 +1,11 @@
 #include "core/traffic.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <functional>
 
+#include "obs/metrics.h"
 #include "util/fnv.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -43,26 +43,18 @@ std::string
 TrafficConfig::label() const
 {
     char buf[64];
-    std::snprintf(buf, sizeof buf, "%gus %u:%u:%u", interArrivalUs,
-                  qosReadWeight, qosWriteWeight, qosComputeWeight);
+    const auto &w = drive.admission.weights;
+    std::snprintf(buf, sizeof buf, "%gus %u:%u:%u", interArrivalUs, w[0],
+                  w[1], w[2]);
     return buf;
 }
 
 TrafficPoint
 runMixedTraffic(const TrafficConfig &cfg)
 {
-    FlashCosmosDrive::Config dc;
-    dc.channels = cfg.channels;
-    dc.dies = cfg.dies;
-    dc.workers = cfg.workers;
-    dc.admissionDepth = cfg.admissionDepth;
-    dc.qosReadWeight = cfg.qosReadWeight;
-    dc.qosWriteWeight = cfg.qosWriteWeight;
-    dc.qosComputeWeight = cfg.qosComputeWeight;
-    FlashCosmosDrive drive(dc);
+    FlashCosmosDrive drive(cfg.drive);
 
-    const std::uint32_t columns =
-        cfg.channels * cfg.dies * dc.geometry.planesPerDie;
+    const std::uint32_t columns = cfg.drive.columnCount();
     const auto home = [columns](std::size_t g) {
         return static_cast<std::uint32_t>((g * 3) % columns);
     };
@@ -148,39 +140,6 @@ runMixedTraffic(const TrafficConfig &cfg)
 
 namespace {
 
-/** Log2-bucket latency histogram: O(1) memory for any request count,
- *  quantiles reported as bucket lower bounds (deterministic). */
-struct LatencyBuckets
-{
-    std::uint64_t counts[65] = {};
-    std::uint64_t total = 0;
-
-    void record(Time lat)
-    {
-        ++counts[std::bit_width(static_cast<std::uint64_t>(lat))];
-        ++total;
-    }
-
-    Time quantile(std::uint64_t pct) const
-    {
-        if (total == 0)
-            return 0;
-        const std::uint64_t rank = (total - 1) * pct / 100;
-        std::uint64_t cum = 0;
-        for (int b = 0; b <= 64; ++b) {
-            cum += counts[b];
-            if (cum > rank)
-                return b == 0 ? 0 : Time{1} << (b - 1);
-        }
-        return 0;
-    }
-
-    ClassLatency summary() const
-    {
-        return ClassLatency{total, quantile(50), quantile(99)};
-    }
-};
-
 /** Request class of closed-loop op @p n (6:3:1 read:write:compute). */
 std::size_t
 classOfOp(std::uint64_t n)
@@ -197,28 +156,19 @@ std::string
 ClosedLoopConfig::label() const
 {
     char buf[64];
+    const auto &w = drive.admission.weights;
     std::snprintf(buf, sizeof buf, "%lluk x%u %u:%u:%u",
                   static_cast<unsigned long long>(requests / 1000),
-                  inflight, qosReadWeight, qosWriteWeight,
-                  qosComputeWeight);
+                  inflight, w[0], w[1], w[2]);
     return buf;
 }
 
 ClosedLoopPoint
 runClosedLoopTraffic(const ClosedLoopConfig &cfg)
 {
-    FlashCosmosDrive::Config dc;
-    dc.channels = cfg.channels;
-    dc.dies = cfg.dies;
-    dc.workers = cfg.workers;
-    dc.admissionDepth = cfg.admissionDepth;
-    dc.qosReadWeight = cfg.qosReadWeight;
-    dc.qosWriteWeight = cfg.qosWriteWeight;
-    dc.qosComputeWeight = cfg.qosComputeWeight;
-    FlashCosmosDrive drive(dc);
+    FlashCosmosDrive drive(cfg.drive);
 
-    const std::uint32_t columns =
-        cfg.channels * cfg.dies * dc.geometry.planesPerDie;
+    const std::uint32_t columns = cfg.drive.columnCount();
     const std::uint32_t inflight = std::max(1u, cfg.inflight);
     const std::uint32_t slots = std::max(1u, cfg.slots);
     const std::uint64_t seed = 0x50a6'20260808ULL;
@@ -294,7 +244,7 @@ runClosedLoopTraffic(const ClosedLoopConfig &cfg)
         VectorId scratch = kDriveNoVector;
     };
     std::vector<Chain> chains(inflight);
-    LatencyBuckets lats[3];
+    obs::Histogram lats[3];
     std::uint64_t completed = 0;
     std::uint64_t write_counter = 2000; // page-image stream, post-setup
     // Residents are rewritten in a sequential sweep, not hashed: the
@@ -398,7 +348,8 @@ runClosedLoopTraffic(const ClosedLoopConfig &cfg)
     ClosedLoopPoint p;
     p.completed = completed;
     for (int c = 0; c < 3; ++c)
-        p.byClass[c] = lats[c].summary();
+        p.byClass[c] = {lats[c].count(), lats[c].quantile(0.5),
+                        lats[c].quantile(0.99)};
     p.makespan = drive.now() - t0;
     p.energyJ = drive.engine().totalEnergyJ();
     std::uint64_t d = kFnvOffset;
@@ -429,11 +380,8 @@ defaultTrafficSweep()
         for (int qos = 0; qos < 2; ++qos) {
             TrafficConfig cfg;
             cfg.interArrivalUs = gap_us;
-            if (qos == 1) {
-                cfg.qosReadWeight = 4;
-                cfg.qosWriteWeight = 2;
-                cfg.qosComputeWeight = 1;
-            }
+            if (qos == 1)
+                cfg.drive.admission.weights = {4, 2, 1};
             sweep.push_back(cfg);
         }
     }

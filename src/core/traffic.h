@@ -26,16 +26,22 @@
 
 namespace fcos::core {
 
+/** The drive both traffic generators serve by default: tiny geometry,
+ *  2 channels x 2 dies (8 plane columns). */
+inline FlashCosmosDrive::Config
+trafficDrive()
+{
+    FlashCosmosDrive::Config dc;
+    dc.channels = 2;
+    dc.dies = 2;
+    return dc;
+}
+
 struct TrafficConfig
 {
-    std::uint32_t channels = 2;
-    std::uint32_t dies = 2; ///< per channel (tiny geometry)
-    /** 0 = FCOS_WORKERS env default; results are worker-invariant. */
-    std::uint32_t workers = 0;
-    std::uint32_t admissionDepth = 8;
-    std::uint32_t qosReadWeight = 1;
-    std::uint32_t qosWriteWeight = 1;
-    std::uint32_t qosComputeWeight = 1;
+    /** Drive shape, worker lanes (0 = FCOS_WORKERS env default; results
+     *  are worker-invariant) and admission window / QoS weights. */
+    FlashCosmosDrive::Config drive = trafficDrive();
     /** Open-loop request count (6:2:2 read:write:compute mix). */
     std::uint32_t requests = 120;
     /** Mean inter-arrival gap of the open-loop process. */
@@ -83,14 +89,8 @@ TrafficPoint runMixedTraffic(const TrafficConfig &cfg);
  */
 struct ClosedLoopConfig
 {
-    std::uint32_t channels = 2;
-    std::uint32_t dies = 2; ///< per channel (tiny geometry)
-    /** 0 = FCOS_WORKERS env default; results are worker-invariant. */
-    std::uint32_t workers = 0;
-    std::uint32_t admissionDepth = 8;
-    std::uint32_t qosReadWeight = 1;
-    std::uint32_t qosWriteWeight = 1;
-    std::uint32_t qosComputeWeight = 1;
+    /** Drive shape, worker lanes and admission (as TrafficConfig). */
+    FlashCosmosDrive::Config drive = trafficDrive();
     /** Closed-loop requests to serve (6:3:1 read:write:compute). */
     std::uint64_t requests = 1'000'000;
     /** Concurrent request chains (each chain: one request at a time). */
@@ -112,8 +112,10 @@ struct ClosedLoopConfig
 struct ClosedLoopPoint
 {
     std::uint64_t completed = 0;
-    /** Per-class end-to-end latency (log2-bucket approximation, so
-     *  recording a million requests stays O(1) memory). */
+    /** Per-class end-to-end latency. Recorded in obs::Histogram's
+     *  log2 buckets, so a million requests stay O(1) memory; p50/p99
+     *  are bucket upper bounds clamped to the observed max, the
+     *  metrics report's convention. */
     ClassLatency byClass[3];
     Time makespan = 0;
     double energyJ = 0.0;

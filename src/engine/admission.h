@@ -42,6 +42,7 @@
 #ifndef FCOS_ENGINE_ADMISSION_H
 #define FCOS_ENGINE_ADMISSION_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -76,7 +77,7 @@ class RequestQueue
         /** WFQ weights per class (Read, Write, Compute): under
          *  contention a class receives admissions proportional to its
          *  weight. All weights must be >= 1. */
-        std::uint32_t weights[kRequestClassCount] = {1, 1, 1};
+        std::array<std::uint32_t, kRequestClassCount> weights = {1, 1, 1};
     };
 
     /** Lifecycle timestamps of a finished request. */

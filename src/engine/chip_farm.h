@@ -28,55 +28,15 @@
 
 namespace fcos::engine {
 
-/** Shape and rates of the die farm (a Table 1 subset). */
-struct FarmConfig
-{
-    std::uint32_t channels = 1;
-    std::uint32_t diesPerChannel = 2;
-    nand::Geometry geometry = nand::Geometry::tiny();
-    nand::Timings timings{};
-
-    /** Page-payload backend of every die. Sparse keeps descriptors
-     *  instead of materialized pages, so Table-1 farms fit in tests;
-     *  the two backends are bit-for-bit equivalent (page_store.h). */
-    nand::PageStoreKind pageStore = nand::PageStoreKind::Sparse;
-
-    /** I/O-rate/energy constants (ssd::SsdConfig::io via fromSsd). */
-    ssd::IoParams io{};
-
-    /** Host worker lanes sharding die functions during drain().
-     *  0 = take the FCOS_WORKERS environment default, 1 = serial;
-     *  any count yields bit-identical results (scheduler.h). */
-    std::uint32_t workers = 0;
-
-    std::uint32_t dieCount() const { return channels * diesPerChannel; }
-    std::uint32_t columnCount() const
-    {
-        return dieCount() * geometry.planesPerDie;
-    }
-
-    /** The engine view of an SSD configuration — the one conversion
-     *  point between the platforms layer and the chip farm. */
-    static FarmConfig fromSsd(const ssd::SsdConfig &ssd)
-    {
-        FarmConfig fc;
-        fc.channels = ssd.channels;
-        fc.diesPerChannel = ssd.diesPerChannel;
-        fc.geometry = ssd.geometry;
-        fc.timings = ssd.timings;
-        fc.pageStore = ssd.pageStore;
-        fc.io = ssd.io;
-        fc.workers = ssd.engineWorkers;
-        return fc;
-    }
-};
-
 class ChipFarm
 {
   public:
-    explicit ChipFarm(const FarmConfig &cfg);
+    /** One die per (channel, die) of @p cfg. Every die keeps its pages
+     *  in the sparse store, so Table-1 farms fit in tests; the dense
+     *  store is bit-for-bit equivalent (nand/page_store.h). */
+    explicit ChipFarm(const ssd::SsdConfig &cfg);
 
-    const FarmConfig &config() const { return cfg_; }
+    const ssd::SsdConfig &config() const { return cfg_; }
     const nand::Geometry &geometry() const { return cfg_.geometry; }
 
     std::uint32_t dieCount() const
@@ -106,7 +66,7 @@ class ChipFarm
     }
 
   private:
-    FarmConfig cfg_;
+    ssd::SsdConfig cfg_;
     std::vector<std::unique_ptr<nand::NandChip>> chips_;
 };
 

@@ -23,7 +23,7 @@ energyComponentFor(StepKind kind)
     return ssd::EnergyComponent::NandRead;
 }
 
-ComputeEngine::ComputeEngine(const FarmConfig &cfg)
+ComputeEngine::ComputeEngine(const ssd::SsdConfig &cfg)
     : farm_(cfg), scheduler_(farm_)
 {}
 

@@ -42,7 +42,7 @@ namespace fcos::engine {
 class ComputeEngine
 {
   public:
-    explicit ComputeEngine(const FarmConfig &cfg);
+    explicit ComputeEngine(const ssd::SsdConfig &cfg);
 
     ChipFarm &farm() { return farm_; }
     const ChipFarm &farm() const { return farm_; }

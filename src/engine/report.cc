@@ -64,9 +64,9 @@ scalingReport(const std::vector<ScalingConfig> &configs,
                      "ch util", "bit-exact"});
 
     for (const ScalingConfig &sc : configs) {
-        FarmConfig fc;
+        ssd::SsdConfig fc;
         fc.channels = sc.channels;
-        fc.diesPerChannel = sc.diesPerChannel;
+        fc.dies = sc.diesPerChannel;
         fc.geometry = geom;
         ComputeEngine eng(fc);
         const std::uint32_t cols = eng.farm().columnCount();
@@ -89,7 +89,7 @@ scalingReport(const std::vector<ScalingConfig> &configs,
                 for (std::uint32_t i = 0; i < and_operands; ++i) {
                     BitVector data = operandData(page_bits, col, row, i);
                     eng.farm().chip(die).programPageEsp(
-                        {plane, row, 0, i}, data, nand::EspParams{2.0});
+                        {plane, row, 0, i}, data, nand::EspParams{});
                     ref &= data;
                 }
                 expected.push_back(std::move(ref));

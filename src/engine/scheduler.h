@@ -37,7 +37,7 @@
  *    bit-reproducible: same submissions => same interleaving, same
  *    timeline, same energy ledger.
  *
- * Parallel host execution (FarmConfig::workers > 1) shards the die
+ * Parallel host execution (ssd::SsdConfig::workers > 1) shards the die
  * functions across a WorkerPool: a plane op's functional mutation is
  * the *work* phase of a sharded two-phase event (shard = die, so one
  * die's mutations never reorder or run concurrently), while everything

@@ -23,7 +23,7 @@ tab01SsdTable(const ssd::SsdConfig &c)
         t.addRow({name, paper, std::move(val)});
     };
     row("channels", "8", std::to_string(c.channels));
-    row("dies/channel", "8", std::to_string(c.diesPerChannel));
+    row("dies/channel", "8", std::to_string(c.dies));
     row("planes/die", "2", std::to_string(c.geometry.planesPerDie));
     row("blocks/plane", "2048",
         std::to_string(c.geometry.blocksPerPlane));
@@ -47,7 +47,7 @@ tab01SsdTable(const ssd::SsdConfig &c)
     row("ISP accel energy", "93 pJ / 64 B",
         TablePrinter::cell(c.io.accelPjPer64B, 0) + " pJ / 64 B");
     row("inter-block MWS cap", "4 blocks",
-        std::to_string(c.maxInterBlockMws));
+        std::to_string(core::PlanCommand::kMaxStrings));
     return t;
 }
 
@@ -244,7 +244,7 @@ fig13Validate(std::uint32_t n, Rng &rng)
     for (std::uint32_t b = 0; b < n; ++b) {
         BitVector v(geom.pageBits());
         v.randomize(rng, 0.2);
-        chip.programPageEsp({0, b, 0, 0}, v, nand::EspParams{2.0});
+        chip.programPageEsp({0, b, 0, 0}, v, nand::EspParams{});
         expected |= v;
         cmd.selections.push_back(nand::WlSelection{b, 0, 1});
     }

@@ -51,7 +51,7 @@ shapeFor(std::uint64_t operand_bytes, const ssd::SsdConfig &cfg)
 {
     std::uint64_t stripe =
         static_cast<std::uint64_t>(cfg.geometry.pageBytes) *
-        cfg.totalPlanes();
+        cfg.columnCount();
     ChunkShape s;
     s.rows = std::max<std::uint64_t>(
         1, (operand_bytes + stripe - 1) / stripe);
@@ -81,7 +81,7 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
 {
     const std::uint64_t page_bytes = cfg.geometry.pageBytes;
     const std::uint32_t planes_per_die = chan_cfg.geometry.planesPerDie;
-    const std::uint32_t planes = chan_cfg.totalPlanes();
+    const std::uint32_t planes = chan_cfg.columnCount();
     const Time t_read = cfg.timings.tReadSlc;
     const Time t_mws = cfg.timings.tMwsFixed;
     const double e_read = pageReadEnergy(cfg);
@@ -191,12 +191,13 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
             } else {
                 senses_per_row = PlatformRunner::fcSensesPerRow(
                     batch.andOperands, batch.orOperands,
-                    cfg.maxIntraMwsWordlines(), cfg.maxInterBlockMws);
+                    cfg.maxIntraMwsWordlines(),
+                    core::PlanCommand::kMaxStrings);
                 t_sense = t_mws;
                 // Conservative MWS power: a full string plus the
                 // typical string count of this batch's commands.
                 std::uint32_t strings = std::min<std::uint32_t>(
-                    cfg.maxInterBlockMws,
+                    core::PlanCommand::kMaxStrings,
                     static_cast<std::uint32_t>(
                         1 + std::min<std::uint64_t>(batch.orOperands,
                                                     3)));
@@ -319,7 +320,7 @@ PlatformRunner::run(PlatformKind kind, const wl::Workload &workload) const
     host::HostConfig host_cfg = host_cfg_;
     host_cfg.streamGBps = host_cfg_.streamGBps / cfg_.channels;
 
-    engine::ComputeEngine eng(engine::FarmConfig::fromSsd(chan_cfg));
+    engine::ComputeEngine eng(chan_cfg);
     engine::CommandScheduler &sched = eng.scheduler();
     host::HostModel host(sched.queue(), sched.energy(), host_cfg);
     std::uint64_t sense_ops =
@@ -450,17 +451,16 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
     host::HostConfig host_cfg = host_cfg_;
     host_cfg.streamGBps = host_cfg_.streamGBps / cfg_.channels;
 
-    engine::ComputeEngine eng(engine::FarmConfig::fromSsd(chan_cfg));
+    engine::ComputeEngine eng(chan_cfg);
     engine::CommandScheduler &sched = eng.scheduler();
     host::HostModel host(sched.queue(), sched.energy(), host_cfg);
 
     const nand::Geometry &geom = chan_cfg.geometry;
     const std::uint64_t page_bits = geom.pageBits();
     const std::uint64_t page_bytes = geom.pageBytes;
-    const std::uint32_t columns =
-        chan_cfg.totalDies() * geom.planesPerDie;
+    const std::uint32_t columns = chan_cfg.columnCount();
     const Time t_mws = cfg_.timings.tMwsFixed;
-    const nand::EspParams esp{2.0};
+    const nand::EspParams esp{};
 
     std::uint64_t sense_ops = 0;
     std::uint64_t page_base = 0;
@@ -508,7 +508,7 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
         // timing-only driver charges for.
         fcos_assert(plan.senseCount() ==
                         fcSensesPerRow(k, m, cfg_.maxIntraMwsWordlines(),
-                                       cfg_.maxInterBlockMws),
+                                       core::PlanCommand::kMaxStrings),
                     "planner (%zu cmds) disagrees with the closed-form "
                     "sense count",
                     plan.senseCount());
@@ -628,8 +628,7 @@ PlatformRunner::fcFunctionalExpectedPage(const wl::Workload &workload,
     ssd::SsdConfig chan_cfg = channelSlice(cfg_);
     const nand::Geometry &geom = chan_cfg.geometry;
     const std::uint64_t page_bits = geom.pageBits();
-    const std::uint32_t columns =
-        chan_cfg.totalDies() * geom.planesPerDie;
+    const std::uint32_t columns = chan_cfg.columnCount();
 
     std::uint64_t base = 0;
     std::uint64_t batch_idx = 0;

@@ -14,7 +14,6 @@
 
 #include "nand/config.h"
 #include "nand/geometry.h"
-#include "nand/page_store.h"
 #include "util/units.h"
 
 namespace fcos::ssd {
@@ -68,16 +67,21 @@ struct IoParams
     }
 };
 
+/**
+ * Shape and rates of one simulated SSD: the single hardware
+ * configuration every layer reads (the drive, the chip farm and
+ * compute engine, the platform runner). A default-constructed config
+ * is the tiny 1 channel x 2 die farm unit tests build; table1() and
+ * figure7() are the paper's drives.
+ */
 struct SsdConfig
 {
-    std::uint32_t channels = 8;
-    std::uint32_t diesPerChannel = 8;
-    nand::Geometry geometry = nand::Geometry::table1();
+    /** Channel buses; dies of one channel share its bandwidth. */
+    std::uint32_t channels = 1;
+    /** Dies per channel (total dies = channels * dies). */
+    std::uint32_t dies = 2;
+    nand::Geometry geometry = nand::Geometry::tiny();
     nand::Timings timings{};
-
-    /** Page-payload backend for functional execution over this
-     *  configuration (engine::FarmConfig::fromSsd forwards it). */
-    nand::PageStoreKind pageStore = nand::PageStoreKind::Sparse;
 
     /** Shared I/O-rate/energy authority (also used by the engine). */
     IoParams io{};
@@ -85,11 +89,7 @@ struct SsdConfig
     /** Host worker lanes for engine execution (0 = FCOS_WORKERS env
      *  default, 1 = serial). Purely a host-side throughput knob: the
      *  simulated timeline is bit-identical for any value. */
-    std::uint32_t engineWorkers = 0;
-
-    /** Power cap on simultaneously activated blocks in inter-block MWS
-     *  (Section 5.2 conclusion). */
-    std::uint32_t maxInterBlockMws = 4;
+    std::uint32_t workers = 0;
 
     /** Max wordlines per intra-block MWS (= NAND string length). */
     std::uint32_t maxIntraMwsWordlines() const
@@ -97,10 +97,11 @@ struct SsdConfig
         return geometry.wordlinesPerSubBlock;
     }
 
-    std::uint32_t totalDies() const { return channels * diesPerChannel; }
-    std::uint32_t totalPlanes() const
+    std::uint32_t dieCount() const { return channels * dies; }
+    /** (die, plane) columns — the unit pages stripe over. */
+    std::uint32_t columnCount() const
     {
-        return totalDies() * geometry.planesPerDie;
+        return dieCount() * geometry.planesPerDie;
     }
 
     /** Channel time to move one page between a die and the controller. */
@@ -112,8 +113,15 @@ struct SsdConfig
         return io.externalTime(geometry.pageBytes);
     }
 
-    /** The evaluated configuration (Table 1). */
-    static SsdConfig table1() { return SsdConfig{}; }
+    /** The evaluated configuration (Table 1): 8 channels x 8 dies. */
+    static SsdConfig table1()
+    {
+        SsdConfig c;
+        c.channels = 8;
+        c.dies = 8;
+        c.geometry = nand::Geometry::table1();
+        return c;
+    }
 
     /**
      * The illustrative SSD of Figure 7: 8 channels x 4 dies x 2 planes,
@@ -122,8 +130,8 @@ struct SsdConfig
      */
     static SsdConfig figure7()
     {
-        SsdConfig c;
-        c.diesPerChannel = 4;
+        SsdConfig c = table1();
+        c.dies = 4;
         c.timings.tReadSlc = usToTime(60.0);
         return c;
     }

@@ -28,7 +28,7 @@ TEST(TrafficGoldenTest, DigestIsWorkerCountInvariant)
     heavy.interArrivalUs = 2.0;
     TrafficPoint base;
     for (std::uint32_t workers : {1u, 2u, 4u}) {
-        heavy.workers = workers;
+        heavy.drive.workers = workers;
         const TrafficPoint p = runMixedTraffic(heavy);
         if (workers == 1) {
             base = p;

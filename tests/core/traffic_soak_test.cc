@@ -78,6 +78,12 @@ TEST(TrafficSoak, ClosedLoopSteadyState)
     EXPECT_EQ(counted, cfg.requests);
     EXPECT_GT(p.byClass[0].count, p.byClass[1].count);
     EXPECT_GT(p.byClass[1].count, p.byClass[2].count);
+    // Every class has a real latency distribution: quantiles are
+    // positive and ordered.
+    for (const ClassLatency &cls : p.byClass) {
+        EXPECT_GT(cls.p50, Time{0});
+        EXPECT_LE(cls.p50, cls.p99);
+    }
     EXPECT_GT(p.makespan, Time{0});
 
     // Streamed reads never buffered more than the single-page stripe.

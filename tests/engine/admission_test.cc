@@ -16,12 +16,12 @@
 namespace fcos::engine {
 namespace {
 
-FarmConfig
+ssd::SsdConfig
 smallFarm(std::uint32_t channels, std::uint32_t dies)
 {
-    FarmConfig fc;
+    ssd::SsdConfig fc;
     fc.channels = channels;
-    fc.diesPerChannel = dies;
+    fc.dies = dies;
     fc.geometry = nand::Geometry::tiny();
     return fc;
 }

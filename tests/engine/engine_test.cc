@@ -14,12 +14,12 @@
 namespace fcos::engine {
 namespace {
 
-FarmConfig
+ssd::SsdConfig
 smallFarm(std::uint32_t channels, std::uint32_t dies)
 {
-    FarmConfig fc;
+    ssd::SsdConfig fc;
     fc.channels = channels;
-    fc.diesPerChannel = dies;
+    fc.dies = dies;
     fc.geometry = nand::Geometry::tiny();
     return fc;
 }
@@ -91,7 +91,7 @@ TEST(SchedulerTest, DataInPipelinesBehindCacheLatch)
     // Two programs with data-in on one plane: the second transfer
     // streams into the cache latch while the first program occupies
     // the array, so the plane never waits for it.
-    FarmConfig fc = smallFarm(1, 1);
+    ssd::SsdConfig fc = smallFarm(1, 1);
     fc.io.channelGBps = 0.001; // 32-B page -> 32 us per transfer
     ChipFarm farm(fc);
     CommandScheduler sched(farm);
@@ -173,7 +173,7 @@ TEST(SchedulerTest, Table1PageTransferTimes)
     EXPECT_NEAR(timeToUs(cfg.pageExternalTime()), 2.05, 0.05);
 
     // The scheduler books exactly those times from the same IoParams.
-    FarmConfig fc = smallFarm(1, 1);
+    ssd::SsdConfig fc = smallFarm(1, 1);
     fc.io = cfg.io;
     ChipFarm farm(fc);
     CommandScheduler sched(farm);

@@ -126,7 +126,7 @@ TEST(BeyondDramScaleTest, StreamedFunctionalWorkloadAtTable1Geometry)
     // budget) that exercises the planner's command splitting.
     const std::uint64_t stripe =
         static_cast<std::uint64_t>(cfg.geometry.pageBytes) *
-        cfg.totalPlanes();
+        cfg.columnCount();
     wl::Workload w;
     w.name = "beyond-dram";
     w.paramName = "-";

@@ -37,10 +37,8 @@ runMixedTraffic()
     FlashCosmosDrive::Config cfg;
     cfg.channels = 2;
     cfg.dies = 2;
-    cfg.admissionDepth = 4;
-    cfg.qosReadWeight = 2;
-    cfg.qosWriteWeight = 1;
-    cfg.qosComputeWeight = 1;
+    cfg.admission.depth = 4;
+    cfg.admission.weights = {2, 1, 1};
     FlashCosmosDrive drive(cfg);
 
     Rng rng = Rng::seeded(20260808);

@@ -143,7 +143,7 @@ TEST(Table1ScaleTest, FunctionalFigureWorkloadAtTable1Geometry)
     // spans two sub-blocks, and the KCS fusion.
     const std::uint64_t stripe =
         static_cast<std::uint64_t>(cfg.geometry.pageBytes) *
-        cfg.totalPlanes();
+        cfg.columnCount();
     wl::Workload w;
     w.name = "table1";
     w.paramName = "-";

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/plan.h"
 #include "platforms/runner.h"
 
 namespace fcos::plat {
@@ -23,7 +24,7 @@ smallSsd()
 {
     ssd::SsdConfig cfg;
     cfg.channels = 2;
-    cfg.diesPerChannel = 2;
+    cfg.dies = 2;
     cfg.geometry = nand::Geometry::tiny(); // 2 planes, 32-B pages
     return cfg;
 }
@@ -41,7 +42,7 @@ batchWorkload(std::uint64_t and_ops, std::uint64_t or_ops,
     b.andOperands = and_ops;
     b.orOperands = or_ops;
     b.operandBytes =
-        rows * cfg.geometry.pageBytes * cfg.totalPlanes();
+        rows * cfg.geometry.pageBytes * cfg.columnCount();
     b.resultToHost = true;
     b.hostPostProcess = false;
     w.batches.push_back(b);
@@ -151,9 +152,9 @@ TEST(FunctionalParityTest, WideMixedBatchSplitsOrCommands)
     // up to kMaxStrings strings — 1 + ceil(5/4) = 3 commands per row,
     // exactly what fcSensesPerRow charges.
     ssd::SsdConfig cfg = smallSsd();
-    EXPECT_EQ(PlatformRunner::fcSensesPerRow(4, 5,
-                                             cfg.maxIntraMwsWordlines(),
-                                             cfg.maxInterBlockMws),
+    EXPECT_EQ(PlatformRunner::fcSensesPerRow(
+                  4, 5, cfg.maxIntraMwsWordlines(),
+                  core::PlanCommand::kMaxStrings),
               3u);
     certifyFunctional(cfg, 4, 5, 25);
 }
@@ -173,7 +174,7 @@ TEST(FunctionalParityTest, BmiRowSpansSubBlockChains)
     // 30 operands / 8-wordline strings => 4 commands per row.
     EXPECT_EQ(fr.timing.senseOps, timing.senseOps);
     EXPECT_EQ(fr.timing.senseOps,
-              4u * cfg.totalPlanes()); // 4 per plane column, whole SSD
+              4u * cfg.columnCount()); // 4 per plane column, whole SSD
     EXPECT_EQ(fr.timing.makespan, timing.makespan);
 }
 
