@@ -30,6 +30,7 @@ spanName(ssd::EnergyComponent comp)
 
 CommandScheduler::CommandScheduler(ChipFarm &farm)
     : farm_(farm), planes_per_die_(farm.geometry().planesPerDie),
+      page_bits_(static_cast<std::uint32_t>(farm.geometry().pageBits())),
       external_("external"), states_(farm.columnCount())
 {
     const std::uint32_t workers =
@@ -147,9 +148,11 @@ CommandScheduler::pump(std::uint32_t die, std::uint32_t col)
     // Defer to the event queue even for an idle plane so that execution
     // order is decided purely by simulated time + FIFO tie-breaking,
     // never by the C++ call stack. The die function is the sharded work
-    // phase (shard = die), everything else commits serially.
+    // phase (shard = die, estimate = page bits), everything else
+    // commits serially.
     queue_.scheduleSharded(
-        queue_.now(), die, [this, die, col] { computeOp(die, col); },
+        queue_.now(), die, page_bits_,
+        [this, die, col] { computeOp(die, col); },
         [this, die, col] { commitOp(die, col); });
 }
 

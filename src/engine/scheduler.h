@@ -48,6 +48,11 @@
  * sense counters) plus op-private buffers; cross-die and host-shared
  * effects belong in the `executed`/`done` callbacks. This is what
  * keeps 2- and 4-worker runs bit-for-bit identical to a serial run.
+ * Each op carries its page bits as its work estimate, so the queue
+ * hands a wave to the pool only when it spans two or more dies' lanes
+ * and its pages outweigh a pool round (EventQueue::kMinDispatchWork):
+ * Table-1 waves (16-KiB pages) dispatch, while a tiny-geometry drive's
+ * few 256-bit ops run inline on the caller.
  *
  * Energy is booked into a ssd::EnergyMeter per activity, giving one
  * ledger spanning NAND ops, channel movement, the external link, and
@@ -222,6 +227,9 @@ class CommandScheduler
     std::unique_ptr<WorkerPool> pool_; ///< non-null when workers > 1
     ssd::EnergyMeter energy_;
     std::uint32_t planes_per_die_;
+    /** Every plane op's work estimate for the event queue's dispatch
+     *  gate: one sense covers a whole page, whatever the operands. */
+    std::uint32_t page_bits_;
     std::vector<Facility> planes_;   ///< one per (die, plane) column
     std::vector<Facility> channels_;
     std::vector<Facility> accel_ports_;

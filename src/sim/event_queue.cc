@@ -109,16 +109,17 @@ EventQueue::enqueue(Event ev)
 void
 EventQueue::schedule(Time when, Callback cb)
 {
-    enqueue(Event{when, next_seq_++, std::move(cb), {}, kNoShard});
+    enqueue(Event{when, next_seq_++, std::move(cb), {}, kNoShard, 0});
 }
 
 void
-EventQueue::scheduleSharded(Time when, std::uint32_t shard, Callback work,
+EventQueue::scheduleSharded(Time when, std::uint32_t shard,
+                            std::uint32_t cost, Callback work,
                             Callback commit)
 {
     fcos_assert(shard != kNoShard, "invalid shard id");
     enqueue(Event{when, next_seq_++, std::move(commit), std::move(work),
-                  shard});
+                  shard, cost});
 }
 
 void
@@ -139,7 +140,7 @@ EventQueue::merge(std::vector<std::pair<Time, Callback>> stream)
                     (unsigned long long)e.first,
                     (unsigned long long)now_);
         heap_.push_back(Event{e.first, next_seq_++, std::move(e.second),
-                              {}, kNoShard});
+                              {}, kNoShard, 0});
     }
     if (heap_.size() > 1) {
         for (std::size_t i = heap_.size() / 2; i-- > 0;)
@@ -180,6 +181,12 @@ EventQueue::runUntil(Time deadline)
 {
     while (!heap_.empty() && heap_.front().when <= deadline)
         runOne();
+    return advanceClock(deadline);
+}
+
+Time
+EventQueue::advanceClock(Time deadline)
+{
     // The clock always reaches the deadline: an event queued beyond it
     // must not leave the caller's notion of "now" stale below it.
     if (now_ < deadline)
@@ -193,30 +200,34 @@ EventQueue::runUntil(Time deadline)
 
 void
 EventQueue::runBatch(std::vector<Event> &batch, WorkerPool &pool,
+                     std::uint64_t min_work,
                      std::vector<std::vector<const Event *>> &lanes,
                      const std::function<void(std::uint32_t)> &lane_fn)
 {
     // Worker phase: shard-local work, partitioned by shard so one
-    // shard's events stay ordered and never run concurrently. Only
-    // work spread over two or more lanes can use a multi-thread pool.
+    // shard's events stay ordered and never run concurrently. The pool
+    // is worth its round only for work spread over two or more lanes
+    // whose summed estimate reaches min_work.
+    const std::size_t n_lanes = lanes.size();
     const Event *first = nullptr; // first event with work
     bool multi_lane = false;
+    std::uint64_t work = 0;
     for (const Event &ev : batch) {
         if (!ev.work)
             continue;
-        if (!first) {
+        work += ev.cost;
+        if (!first)
             first = &ev;
-            if (pool.threadCount() <= 1)
-                break;
-        } else if (ev.shard % lanes.size() != first->shard % lanes.size()) {
+        else if (ev.shard % n_lanes != first->shard % n_lanes)
             multi_lane = true;
+        if (multi_lane && work >= min_work)
             break;
-        }
     }
-    if (multi_lane) {
+    const bool dispatch = multi_lane && work >= min_work;
+    if (dispatch) {
         for (const Event &ev : batch) {
             if (ev.work)
-                lanes[ev.shard % lanes.size()].push_back(&ev);
+                lanes[ev.shard % n_lanes].push_back(&ev);
         }
         in_worker_phase_ = true;
         pool.run(lane_fn);
@@ -224,11 +235,9 @@ EventQueue::runBatch(std::vector<Event> &batch, WorkerPool &pool,
         for (auto &lane : lanes)
             lane.clear();
     } else if (first) {
-        // One lane (or one physical thread): the pool could only run
-        // it serially anyway, so run it inline in seq order and skip
-        // the cross-thread handoff — a valid parallel schedule, since
-        // same-shard events keep their order and cross-shard order is
-        // unobservable.
+        // Inline on the caller in seq order, skipping the cross-thread
+        // handoff — a valid parallel schedule, since same-shard events
+        // keep their order and cross-shard order is unobservable.
         if (obs::metricsLive(obs_epoch_))
             ++stat_inline_;
         in_worker_phase_ = true;
@@ -251,13 +260,10 @@ EventQueue::runBatch(std::vector<Event> &batch, WorkerPool &pool,
 void
 EventQueue::run(WorkerPool &pool)
 {
-    if (pool.workerCount() <= 1) {
+    if (pool.workerCount() <= 1)
         run();
-        return;
-    }
-    // The unbounded deadline never advances the clock past the last
-    // event, matching run()'s clock semantics exactly.
-    runUntil(~Time{0}, pool);
+    else
+        runWaves(kTimeMax, pool);
 }
 
 Time
@@ -265,7 +271,21 @@ EventQueue::runUntil(Time deadline, WorkerPool &pool)
 {
     if (pool.workerCount() <= 1)
         return runUntil(deadline);
+    runWaves(deadline, pool);
+    return advanceClock(deadline);
+}
+
+void
+EventQueue::runWaves(Time deadline, WorkerPool &pool)
+{
     fcos_assert(!in_wave_, "re-entrant parallel run");
+    // A one-thread pool could only run lanes inline; forced threads
+    // dispatch every multi-lane sub-batch, so the threads and tsan
+    // tiers keep crossing threads on tiny drives.
+    const std::uint64_t min_work =
+        pool.threadCount() <= 1     ? ~std::uint64_t{0}
+        : WorkerPool::forceThreads() ? 0
+                                     : kMinDispatchWork;
     // Wave-shape metrics are resolved once per drain; recording happens
     // on the caller's thread between phases (a serial context).
     const bool mlive = obs::metricsLive(obs_epoch_);
@@ -294,7 +314,7 @@ EventQueue::runUntil(Time deadline, WorkerPool &pool)
         while (!batch.empty()) {
             if (wave_hist)
                 wave_hist->record(batch.size());
-            runBatch(batch, pool, lanes, lane_fn);
+            runBatch(batch, pool, min_work, lanes, lane_fn);
             // Commits scheduled same-time events straight onto the
             // ready list (in seq order): they form the wave's next
             // sub-batch without touching the heap.
@@ -302,12 +322,6 @@ EventQueue::runUntil(Time deadline, WorkerPool &pool)
         }
         in_wave_ = false;
     }
-    // Same deadline-advance contract as the serial runUntil; a full
-    // run() passes an unbounded deadline and never moves the clock
-    // past the last executed event.
-    if (deadline != ~Time{0} && now_ < deadline)
-        now_ = deadline;
-    return now_;
 }
 
 void

@@ -23,9 +23,12 @@
  *   1. extract every event at the front timestamp, in seq order;
  *   2. worker phase — the work closures run on the pool, partitioned
  *      by shard (same shard => same lane, lane-internal seq order),
- *      so only shard-disjoint state is touched concurrently (a wave
- *      whose work all maps to one lane runs inline on the caller in
- *      seq order instead — the pool could only serialize it anyway);
+ *      so only shard-disjoint state is touched concurrently. The pool
+ *      is used only when it can pay: the sub-batch's work must span
+ *      two or more lanes *and* its summed work estimate must reach
+ *      kMinDispatchWork. Any other sub-batch (one lane, or a few tiny
+ *      page ops that cost less than a pool round) runs inline on the
+ *      caller in seq order — itself a valid parallel schedule;
  *   3. commit phase — every commit closure runs on the caller's
  *      thread in seq order, merging the per-worker result streams
  *      back into one deterministic global order.
@@ -66,6 +69,28 @@ class EventQueue
     /** Shard tag of ordinary (commit-only) events. */
     static constexpr std::uint32_t kNoShard = ~std::uint32_t{0};
 
+    /**
+     * Summed work estimate a multi-lane sub-batch must reach before it
+     * is handed to the worker pool; lighter ones run inline. The unit
+     * is whatever scheduleSharded() callers estimate in — the engine
+     * passes the page bits of each plane op.
+     *
+     * Calibration (4-vCPU x86 host, Release): a pool round of empty
+     * lanes costs ~0.8 us (fcbench probe `sim.pool_handoff_us`), and a
+     * 3-wordline MWS over one Table-1 page, 2^17 bits, costs ~28 us
+     * (`nand.mws_us.wl3`), i.e. ~0.2 ns per page bit. Splitting work W
+     * over two lanes saves about W/2, so dispatch breaks even near
+     * W = 2 x 0.8 us, about 2^13 bits. The threshold sits 8x above
+     * that, at ~14 us of sensing, because a real round also migrates
+     * the ops' closures, latches and shared counters between cores,
+     * and page bits do not count an op's fixed cost. Both shapes the
+     * engine runs fall clear of it: a tiny 256-bit-page drive would
+     * need 256 die ops at one instant, while any multi-lane Table-1
+     * wave carries at least 2 x 2^17 bits.
+     */
+    static constexpr std::uint64_t kMinDispatchWork = std::uint64_t{1}
+                                                      << 16;
+
     /** Current simulated time. */
     Time now() const { return now_; }
 
@@ -89,8 +114,13 @@ class EventQueue
      * event-private storage the work filled (all works of a wave run
      * before its first commit, so re-reading mutable shard state from
      * a commit would see later same-time works' effects).
+     *
+     * @p cost estimates @p work's host time in the units of
+     * kMinDispatchWork; it only decides where the work runs, never
+     * what it computes.
      */
-    void scheduleSharded(Time when, std::uint32_t shard, Callback work,
+    void scheduleSharded(Time when, std::uint32_t shard,
+                         std::uint32_t cost, Callback work,
                          Callback commit);
 
     /**
@@ -118,13 +148,14 @@ class EventQueue
     /**
      * Run until simulated time would exceed @p deadline; events at
      * exactly @p deadline still execute. The clock always advances to
-     * @p deadline, whether or not later events remain queued.
+     * @p deadline (kTimeMax included), whether or not later events
+     * remain queued.
      * @return the final now() (== max(now, deadline)).
      */
     Time runUntil(Time deadline);
 
     /** runUntil with sharded work phases on @p pool — bit-identical to
-     *  the serial runUntil for any worker count. */
+     *  the serial runUntil, clock included, for any worker count. */
     Time runUntil(Time deadline, WorkerPool &pool);
 
     /** Number of events waiting. */
@@ -155,6 +186,7 @@ class EventQueue
         Callback commit;
         Callback work;                  ///< empty for commit-only events
         std::uint32_t shard = kNoShard; ///< worker lane key
+        std::uint32_t cost = 0;         ///< work estimate (dispatch gate)
     };
 
     static bool earlier(const Event &a, const Event &b)
@@ -170,7 +202,14 @@ class EventQueue
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
     void debugCheckHeap() const;
+    /** Advance the clock to @p deadline if it is behind it — the one
+     *  clock rule both runUntil overloads end with. */
+    Time advanceClock(Time deadline);
+    /** Execute every event at or before @p deadline in timestamp waves
+     *  on @p pool; leaves the clock at the last executed event. */
+    void runWaves(Time deadline, WorkerPool &pool);
     void runBatch(std::vector<Event> &batch, WorkerPool &pool,
+                  std::uint64_t min_work,
                   std::vector<std::vector<const Event *>> &lanes,
                   const std::function<void(std::uint32_t)> &lane_fn);
 

@@ -54,8 +54,11 @@ class WorkerPool
      * How long an idle thread spins on the round state before parking.
      * A round handed off through condition-variable wakeups alone
      * measured 8-12 us on a 4-vCPU x86 host; a few of those covers
-     * the gap between consecutive waves of a serving drain while
-     * bounding the CPU an idle pool burns.
+     * the gap between consecutive dispatched waves of one drain while
+     * bounding the CPU an idle pool burns. Only waves worth a round
+     * dispatch (EventQueue::kMinDispatchWork): a Table-1 drain's
+     * multi-die waves, or under FCOS_FORCE_THREADS every multi-lane
+     * wave. A serving drain on a tiny drive never wakes the pool.
      */
     static constexpr std::chrono::microseconds kSpinBudget{50};
 

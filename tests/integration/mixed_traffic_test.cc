@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "core/drive.h"
+#include "obs/obs.h"
+#include "sim/worker_pool.h"
 #include "tests/support/golden.h"
 #include "tests/support/random_fixture.h"
 
@@ -30,13 +32,15 @@ struct MixedRun
 
 /** Deterministic mixed workload: 4 stored vectors spread over home
  *  columns, then 12 requests (reads, a conflicting write burst, and a
- *  compute) arriving on a fixed schedule. */
+ *  compute) arriving on a fixed schedule. @p workers 0 defers to
+ *  FCOS_WORKERS. */
 MixedRun
-runMixedTraffic()
+runMixedTraffic(std::uint32_t workers = 0)
 {
     FlashCosmosDrive::Config cfg;
     cfg.channels = 2;
     cfg.dies = 2;
+    cfg.workers = workers;
     cfg.admission.depth = 4;
     cfg.admission.weights = {2, 1, 1};
     FlashCosmosDrive drive(cfg);
@@ -150,6 +154,71 @@ TEST(MixedTrafficTest, RunToRunEquality)
     EXPECT_EQ(a.table, b.table);
     for (std::size_t i = 0; i < a.read_payloads.size(); ++i)
         EXPECT_EQ(a.read_payloads[i], b.read_payloads[i]);
+}
+
+/** host.pool.dispatches recorded while @p run executes. */
+template <typename Fn>
+std::uint64_t
+poolDispatches(Fn &&run)
+{
+    obs::ScopedCapture capture(/*trace=*/false, /*metrics=*/true);
+    run();
+    return obs::metrics().counter("host.pool.dispatches").value();
+}
+
+TEST(MixedTrafficTest, PoolDispatchesOnlyWavesThatOutweighTheHandoff)
+{
+    // At 4 workers, the tiny drive's waves are a few 256-bit page ops,
+    // cheaper than a pool round: all of them run on the caller.
+    const std::uint64_t tiny = poolDispatches([] { runMixedTraffic(4); });
+    // A Table-1 AND whose pages stripe over two dies puts two 16-KiB
+    // MWS ops in one wave: that wave is worth dispatching.
+    const std::uint64_t table1 = poolDispatches([] {
+        FlashCosmosDrive::Config cfg;
+        cfg.channels = 2;
+        cfg.dies = 1;
+        cfg.geometry = nand::Geometry::table1();
+        cfg.workers = 4;
+        FlashCosmosDrive drive(cfg);
+        const std::uint64_t pages = drive.dieCount() *
+                                    cfg.geometry.planesPerDie;
+        std::vector<Expr> leaves;
+        for (std::uint64_t v = 0; v < 2; ++v) {
+            leaves.push_back(Expr::leaf(drive.fcWritePages(
+                [v](std::uint64_t j) {
+                    return nand::PageImage::random(Rng::mix(v, j));
+                },
+                pages, {1, false})));
+        }
+        drive.fcRead(Expr::And(leaves));
+    });
+    if (WorkerPool::forceThreads()) {
+        EXPECT_GT(tiny, 0u);
+        EXPECT_GT(table1, 0u);
+    } else {
+        EXPECT_EQ(tiny, 0u);
+        if (std::thread::hardware_concurrency() > 1) {
+            EXPECT_GT(table1, 0u);
+        }
+    }
+}
+
+TEST(MixedTrafficTest, AdvanceToTheEndOfTimeGivesOneClock)
+{
+    // Regression: advancing to kTimeMax left now() at the last event
+    // on a multi-worker drive but at kTimeMax on a serial one.
+    for (std::uint32_t workers : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        FlashCosmosDrive::Config cfg;
+        cfg.workers = workers;
+        FlashCosmosDrive drive(cfg);
+        Rng rng = Rng::seeded(5);
+        const VectorId id = drive.fcWrite(test::randomVec(rng, 1000));
+        DenseCollectSink sink;
+        drive.submitReadVector(id, sink);
+        EXPECT_EQ(drive.advanceTo(kTimeMax), kTimeMax);
+        EXPECT_EQ(drive.now(), kTimeMax);
+    }
 }
 
 } // namespace

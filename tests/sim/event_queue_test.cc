@@ -71,6 +71,10 @@ operator delete[](void *p, std::size_t) noexcept
 namespace fcos {
 namespace {
 
+/** Per-event work estimates on either side of the dispatch gate. */
+constexpr std::uint32_t kCheap = 1;
+constexpr std::uint32_t kHeavy = EventQueue::kMinDispatchWork;
+
 TEST(EventQueueTest, ExecutesInTimeOrder)
 {
     EventQueue q;
@@ -139,6 +143,29 @@ TEST(EventQueueTest, RunUntilAdvancesClockToDeadline)
     EXPECT_EQ(q.now(), 40u);
 }
 
+TEST(EventQueueTest, ClockRulesMatchAtAnyWorkerCount)
+{
+    // Regression: the pool path used to read kTimeMax as "no
+    // deadline" and leave now() at the last event, while the serial
+    // path advanced it to kTimeMax. Both runUntil overloads now end
+    // with the same clock rule; run() stops at the last event.
+    for (std::uint32_t workers : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        WorkerPool pool(workers);
+        EventQueue q;
+        q.scheduleSharded(5, 0, kHeavy, [] {}, [] {});
+        q.scheduleSharded(5, 1, kHeavy, [] {}, [] {});
+        q.schedule(9, [] {});
+        EXPECT_EQ(q.runUntil(7, pool), 7u);
+        q.run(pool);
+        EXPECT_EQ(q.now(), 9u);
+        q.schedule(12, [] {});
+        EXPECT_EQ(q.runUntil(kTimeMax, pool), kTimeMax);
+        EXPECT_EQ(q.now(), kTimeMax);
+        EXPECT_EQ(q.pending(), 0u);
+    }
+}
+
 TEST(EventQueueTest, HeapStaysValidUnderChurn)
 {
     EventQueue q;
@@ -182,9 +209,11 @@ TEST(EventQueueTest, ShardedEventsRunWorkThenCommitSerially)
     EventQueue q;
     std::vector<int> order;
     q.scheduleSharded(
-        1, 0, [&] { order.push_back(10); }, [&] { order.push_back(11); });
+        1, 0, kCheap, [&] { order.push_back(10); },
+        [&] { order.push_back(11); });
     q.scheduleSharded(
-        1, 1, [&] { order.push_back(20); }, [&] { order.push_back(21); });
+        1, 1, kCheap, [&] { order.push_back(20); },
+        [&] { order.push_back(21); });
     q.run();
     EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21}));
 }
@@ -193,7 +222,9 @@ TEST(EventQueueTest, ShardedEventsRunWorkThenCommitSerially)
 // commit order (the only externally visible order) must match exactly.
 // Works mutate shard-local accumulators and record their observation
 // into event-private storage, which the commit publishes — the same
-// split the command scheduler uses (PendingOp::result).
+// split the command scheduler uses (PendingOp::result). Every third
+// event is heavy, so sub-batches fall on both sides of the dispatch
+// gate.
 std::vector<std::uint64_t>
 shardedWorkloadTrace(std::uint32_t workers)
 {
@@ -205,7 +236,7 @@ shardedWorkloadTrace(std::uint32_t workers)
                       std::uint64_t mix, auto &self) -> void {
         auto res = std::make_shared<std::uint64_t>(0);
         q.scheduleSharded(
-            when, shard,
+            when, shard, mix % 3 == 0 ? kHeavy : kCheap,
             [&slots, shard, mix, res] {
                 slots[shard] = slots[shard] * 31 + mix;
                 *res = slots[shard];
@@ -241,9 +272,9 @@ TEST(EventQueueTest, ParallelRunIsBitIdenticalToSerial)
     EXPECT_EQ(shardedWorkloadTrace(7), serial);
 }
 
-// One wave at t=1 of sharded events on @p shards, run on a 4-lane pool
-// or serially; each work records the thread it ran on, each commit its
-// event's index.
+// One wave at t=1 of sharded events on @p shards, each estimated at
+// @p cost, run on a 4-lane pool or serially; each work records the
+// thread it ran on, each commit its event's index.
 struct WaveThreads
 {
     std::vector<std::thread::id> workThreads;
@@ -252,7 +283,8 @@ struct WaveThreads
 };
 
 WaveThreads
-runOneWave(const std::vector<std::uint32_t> &shards, bool parallel)
+runOneWave(const std::vector<std::uint32_t> &shards, std::uint32_t cost,
+           bool parallel)
 {
     EventQueue q;
     WaveThreads out;
@@ -260,7 +292,8 @@ runOneWave(const std::vector<std::uint32_t> &shards, bool parallel)
     for (std::size_t i = 0; i < shards.size(); ++i) {
         std::thread::id *slot = &out.workThreads[i];
         q.scheduleSharded(
-            1, shards[i], [slot] { *slot = std::this_thread::get_id(); },
+            1, shards[i], cost,
+            [slot] { *slot = std::this_thread::get_id(); },
             [&out, i] { out.commits.push_back(i); });
     }
     if (parallel) {
@@ -273,36 +306,67 @@ runOneWave(const std::vector<std::uint32_t> &shards, bool parallel)
     return out;
 }
 
+/** Works of @p wave that ran off the calling thread. */
+std::size_t
+offThread(const WaveThreads &wave)
+{
+    std::size_t n = 0;
+    for (const std::thread::id &id : wave.workThreads)
+        n += id != std::this_thread::get_id();
+    return n;
+}
+
 TEST(EventQueueTest, OneLaneWaveRunsInlineOnTheCaller)
 {
     // Shards 1, 5 and 9 all map to lane 1 of a 4-lane pool: the pool
-    // could only run them serially, so they never leave the caller.
+    // could only run them serially, so they never leave the caller,
+    // however heavy their estimate.
     const std::vector<std::uint32_t> shards = {1, 5, 9, 1};
-    const WaveThreads par = runOneWave(shards, true);
-    for (const std::thread::id &id : par.workThreads)
-        EXPECT_EQ(id, std::this_thread::get_id());
-    EXPECT_EQ(par.commits, runOneWave(shards, false).commits);
+    const WaveThreads par = runOneWave(shards, kHeavy, true);
+    EXPECT_EQ(offThread(par), 0u);
+    EXPECT_EQ(par.commits, runOneWave(shards, kHeavy, false).commits);
+}
+
+TEST(EventQueueTest, CheapMultiLaneWaveRunsInlineUnlessThreadsAreForced)
+{
+    // Two lanes, but the summed estimate stops one short of the gate:
+    // a pool round would cost more than the work, so the wave stays on
+    // the caller — unless FCOS_FORCE_THREADS=1, which dispatches every
+    // multi-lane sub-batch so the threads tiers keep crossing threads.
+    const std::vector<std::uint32_t> shards = {0, 1};
+    const WaveThreads par =
+        runOneWave(shards, kHeavy / 2 - 1, true);
+    if (WorkerPool::forceThreads()) {
+        EXPECT_GT(offThread(par), 0u);
+    } else {
+        EXPECT_EQ(offThread(par), 0u);
+    }
+    EXPECT_EQ(par.commits,
+              runOneWave(shards, kHeavy / 2 - 1, false).commits);
 }
 
 TEST(EventQueueTest, MultiLaneWaveStillRunsOnThePool)
 {
-    // Shards 0..3 span every lane. With more than one pool thread
-    // (always under FCOS_FORCE_THREADS=1) the lanes not striped onto
-    // the caller run on worker threads.
-    const std::vector<std::uint32_t> shards = {0, 1, 2, 3, 4, 5, 6, 7};
-    const WaveThreads par = runOneWave(shards, true);
-    if (WorkerPool::forceThreads()) {
-        EXPECT_EQ(par.poolThreads, 4u);
+    // Two lanes whose estimates sum exactly to the gate, then all four
+    // lanes of heavy work. With more than one pool thread (always
+    // under FCOS_FORCE_THREADS=1) the lanes not striped onto the
+    // caller run on worker threads.
+    for (const auto &[shards, cost] :
+         {std::pair{std::vector<std::uint32_t>{0, 1}, kHeavy / 2},
+          std::pair{std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7},
+                    kHeavy}}) {
+        SCOPED_TRACE(std::to_string(shards.size()) + " events");
+        const WaveThreads par = runOneWave(shards, cost, true);
+        if (WorkerPool::forceThreads()) {
+            EXPECT_EQ(par.poolThreads, 4u);
+        }
+        if (par.poolThreads > 1) {
+            EXPECT_GT(offThread(par), 0u);
+        } else {
+            EXPECT_EQ(offThread(par), 0u);
+        }
+        EXPECT_EQ(par.commits, runOneWave(shards, cost, false).commits);
     }
-    std::size_t off_thread = 0;
-    for (const std::thread::id &id : par.workThreads)
-        off_thread += id != std::this_thread::get_id();
-    if (par.poolThreads > 1) {
-        EXPECT_GT(off_thread, 0u);
-    } else {
-        EXPECT_EQ(off_thread, 0u);
-    }
-    EXPECT_EQ(par.commits, runOneWave(shards, false).commits);
 }
 
 TEST(EventQueueTest, InlineAndDispatchedWavesAreCounted)
@@ -310,22 +374,25 @@ TEST(EventQueueTest, InlineAndDispatchedWavesAreCounted)
     obs::ScopedCapture capture(/*trace=*/false, /*metrics=*/true);
     EventQueue q;
     WorkerPool pool(4);
-    // t=1: one lane (shards 2, 6); t=2: two lanes (shards 0, 1); t=3:
-    // commit-only, which is neither.
+    // t=1: one lane (shards 2, 6); t=2: two lanes of heavy work
+    // (shards 0, 1); t=3: two lanes below the gate; t=4: commit-only,
+    // which is neither.
     for (std::uint32_t shard : {2u, 6u})
-        q.scheduleSharded(1, shard, [] {}, [] {});
+        q.scheduleSharded(1, shard, kHeavy, [] {}, [] {});
     for (std::uint32_t shard : {0u, 1u})
-        q.scheduleSharded(2, shard, [] {}, [] {});
-    q.schedule(3, [] {});
+        q.scheduleSharded(2, shard, kHeavy, [] {}, [] {});
+    for (std::uint32_t shard : {0u, 1u})
+        q.scheduleSharded(3, shard, kCheap, [] {}, [] {});
+    q.schedule(4, [] {});
     q.run(pool);
     q.publishMetrics();
     pool.publishMetrics();
     obs::Registry &m = obs::metrics();
-    const bool threaded = pool.threadCount() > 1;
-    EXPECT_EQ(m.counter("host.pool.inline_waves").value(),
-              threaded ? 1u : 2u);
-    EXPECT_EQ(m.counter("host.pool.dispatches").value(),
-              threaded ? 1u : 0u);
+    const std::uint64_t dispatched = pool.threadCount() <= 1     ? 0
+                                     : WorkerPool::forceThreads() ? 2
+                                                                  : 1;
+    EXPECT_EQ(m.counter("host.pool.inline_waves").value(), 3 - dispatched);
+    EXPECT_EQ(m.counter("host.pool.dispatches").value(), dispatched);
 }
 
 TEST(EventQueueTest, SteadyStateEventsDoNotTouchTheHeap)
@@ -352,7 +419,8 @@ TEST(EventQueueTest, SteadyStateEventsDoNotTouchTheHeap)
     }
     // Sharded two-phase events ride the same payload type.
     q.scheduleSharded(
-        300, 0, [tally] { *tally += 1; }, [tally] { *tally += 2; });
+        300, 0, kCheap, [tally] { *tally += 1; },
+        [tally] { *tally += 2; });
     q.run();
     EXPECT_EQ(g_heap_allocs.load() - before, 0u)
         << "steady-state event churn must not allocate";
