@@ -81,9 +81,19 @@ PageImage::materialize(std::size_t bits) const
         out = BitVector(bits, flag_);
         break;
       case Kind::Random: {
-        Rng rng = Rng::seeded(seed_);
         out = BitVector(bits);
-        out.randomize(rng, p_one_);
+        std::vector<std::uint64_t> &w = out.words();
+        if (p_one_ == 0.5 && w.size() <= Mt19937_64::kMaxFirstOutputs) {
+            // At p = 0.5 randomize() takes one output of a fresh engine
+            // per word, so a small page needs only a prefix of the
+            // stream, not the full 312-word seed and twist.
+            Mt19937_64::firstOutputs(seed_, w.data(), w.size());
+            if (bits % 64 != 0)
+                w.back() &= (std::uint64_t{1} << (bits % 64)) - 1;
+        } else {
+            Rng rng = Rng::seeded(seed_);
+            out.randomize(rng, p_one_);
+        }
         break;
       }
       case Kind::Checkered:

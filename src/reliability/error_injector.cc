@@ -12,7 +12,7 @@ VthErrorInjector::inject(BitVector &bits, const nand::PageMeta &meta,
     double p = model_.rberFor(meta, cond_, quality_);
     if (p <= 0.0)
         return;
-    Rng rng = Rng::seeded(base_seed_).fork(seed);
+    Rng rng(Rng::mix(base_seed_, seed));
     std::uint64_t flips = rng.binomial(bits.size(), p);
     // Distinct positions: a duplicate draw would un-flip the bit and
     // understate the error count at high rates.

@@ -6,25 +6,28 @@
 namespace fcos {
 
 // --------------------------------------------------------------------------
-// Explicit binary heap over (when, seq)
+// Binary heap of (when, seq, slot) keys over a slot table of payloads
 // --------------------------------------------------------------------------
 
 void
 EventQueue::siftUp(std::size_t i)
 {
+    const Key key = heap_[i];
     while (i > 0) {
         std::size_t parent = (i - 1) / 2;
-        if (!earlier(heap_[i], heap_[parent]))
+        if (!earlier(key, heap_[parent]))
             break;
-        std::swap(heap_[i], heap_[parent]);
+        heap_[i] = heap_[parent];
         i = parent;
     }
+    heap_[i] = key;
 }
 
-void
+std::size_t
 EventQueue::siftDown(std::size_t i)
 {
     const std::size_t n = heap_.size();
+    const Key key = heap_[i];
     for (;;) {
         std::size_t left = 2 * i + 1;
         if (left >= n)
@@ -33,19 +36,34 @@ EventQueue::siftDown(std::size_t i)
         std::size_t right = left + 1;
         if (right < n && earlier(heap_[right], heap_[left]))
             best = right;
-        if (!earlier(heap_[best], heap_[i]))
+        if (!earlier(heap_[best], key))
             break;
-        std::swap(heap_[i], heap_[best]);
+        heap_[i] = heap_[best];
         i = best;
     }
+    heap_[i] = key;
+    return i;
+}
+
+std::uint32_t
+EventQueue::park(Event ev)
+{
+    if (free_slots_.empty()) {
+        slots_.push_back(std::move(ev));
+        return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(ev);
+    return slot;
 }
 
 void
-EventQueue::push(Event ev)
+EventQueue::push(Time when, Event ev)
 {
-    heap_.push_back(std::move(ev));
+    heap_.push_back(Key{when, next_seq_++, park(std::move(ev))});
     siftUp(heap_.size() - 1);
-    debugCheckHeap();
+    debugCheckPath(heap_.size() - 1);
     if (obs::metricsLive(obs_epoch_) && heap_.size() > stat_max_depth_)
         stat_max_depth_ = heap_.size();
 }
@@ -54,14 +72,13 @@ EventQueue::Event
 EventQueue::popMin()
 {
     fcos_assert(!heap_.empty(), "pop from an empty event heap");
-    Event out = std::move(heap_.front());
-    if (heap_.size() > 1)
-        heap_.front() = std::move(heap_.back());
+    const std::uint32_t slot = heap_.front().slot;
+    heap_.front() = heap_.back();
     heap_.pop_back();
     if (!heap_.empty())
-        siftDown(0);
-    debugCheckHeap();
-    return out;
+        debugCheckPath(siftDown(0));
+    free_slots_.push_back(slot);
+    return std::move(slots_[slot]);
 }
 
 bool
@@ -82,34 +99,57 @@ EventQueue::debugCheckHeap() const
 #endif
 }
 
+void
+EventQueue::debugCheckPath(std::size_t i) const
+{
+#ifndef NDEBUG
+    // A push or pop moves keys only on the path from index i to the
+    // root. The heap was valid before, so checking every parent/child
+    // edge that touches this path proves the whole invariant in
+    // O(log n); a full heapIsValid() per event would make debug runs
+    // quadratic in the heap depth.
+    for (;;) {
+        for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < heap_.size();
+             ++c)
+            fcos_assert(!earlier(heap_[c], heap_[i]),
+                        "event heap invariant violated");
+        if (i == 0)
+            break;
+        i = (i - 1) / 2;
+    }
+#else
+    (void)i;
+#endif
+}
+
 // --------------------------------------------------------------------------
 // Scheduling
 // --------------------------------------------------------------------------
 
 void
-EventQueue::enqueue(Event ev)
+EventQueue::enqueue(Time when, Event ev)
 {
     fcos_assert(!in_worker_phase_,
                 "worker-phase code must not schedule events");
-    fcos_assert(ev.when >= now_, "schedule into the past: %llu < %llu",
-                (unsigned long long)ev.when, (unsigned long long)now_);
+    fcos_assert(when >= now_, "schedule into the past: %llu < %llu",
+                (unsigned long long)when, (unsigned long long)now_);
     // During a wave, same-timestamp events join the wave's next
-    // sub-batch directly: they were assigned increasing seqs in this
-    // commit phase, so the ready list is already in (when, seq) order
-    // and the heap's O(log n) churn is skipped entirely.
-    if (in_wave_ && ev.when == now_) {
+    // sub-batch directly: appended in scheduling order, the ready list
+    // is already in (when, seq) order (the heap holds nothing at this
+    // time), and the heap's O(log n) churn is skipped entirely.
+    if (in_wave_ && when == now_) {
         if (obs::metricsLive(obs_epoch_))
             ++stat_bypass_;
         ready_.push_back(std::move(ev));
     } else {
-        push(std::move(ev));
+        push(when, std::move(ev));
     }
 }
 
 void
 EventQueue::schedule(Time when, Callback cb)
 {
-    enqueue(Event{when, next_seq_++, std::move(cb), {}, kNoShard, 0});
+    enqueue(when, Event{std::move(cb), {}});
 }
 
 void
@@ -118,8 +158,7 @@ EventQueue::scheduleSharded(Time when, std::uint32_t shard,
                             Callback commit)
 {
     fcos_assert(shard != kNoShard, "invalid shard id");
-    enqueue(Event{when, next_seq_++, std::move(commit), std::move(work),
-                  shard, cost});
+    enqueue(when, Event{std::move(commit), std::move(work), shard, cost});
 }
 
 void
@@ -139,8 +178,8 @@ EventQueue::merge(std::vector<std::pair<Time, Callback>> stream)
                     "merge into the past: %llu < %llu",
                     (unsigned long long)e.first,
                     (unsigned long long)now_);
-        heap_.push_back(Event{e.first, next_seq_++, std::move(e.second),
-                              {}, kNoShard, 0});
+        heap_.push_back(
+            Key{e.first, next_seq_++, park(Event{std::move(e.second), {}})});
     }
     if (heap_.size() > 1) {
         for (std::size_t i = heap_.size() / 2; i-- > 0;)
@@ -160,8 +199,8 @@ EventQueue::runOne()
 {
     if (heap_.empty())
         return false;
+    now_ = heap_.front().when;
     Event ev = popMin();
-    now_ = ev.when;
     if (ev.work)
         ev.work();
     ++executed_;

@@ -9,9 +9,12 @@
  * which is the same modelling level MQSim uses for bus and die
  * contention.
  *
- * The queue is an explicit binary heap ordered by (when, seq), popped
- * by value — no const_cast through a std::priority_queue top() — with
- * the heap invariant checked in debug builds and on demand.
+ * The queue is a binary heap of 24-byte {when, seq, slot} keys ordered
+ * by (when, seq); the payloads (two SmallFn closures, shard, cost) sit
+ * still in a slot table with a free list. A payload is moved in once
+ * on push and out once when popped, so sifting never relocates a
+ * closure. The key-heap invariant is checked in debug builds and on
+ * demand.
  *
  * Sharded two-phase events parallelize the simulation without giving
  * up bit-exactness. An event scheduled with scheduleSharded() carries a
@@ -179,29 +182,44 @@ class EventQueue
     void publishMetrics();
 
   private:
+    /** An event's payload; its order lives in its heap Key. */
     struct Event
     {
-        Time when;
-        std::uint64_t seq;
         Callback commit;
         Callback work;                  ///< empty for commit-only events
         std::uint32_t shard = kNoShard; ///< worker lane key
         std::uint32_t cost = 0;         ///< work estimate (dispatch gate)
     };
 
-    static bool earlier(const Event &a, const Event &b)
+    /** Heap entry: the event's order plus the slot its payload sits
+     *  in. */
+    struct Key
+    {
+        Time when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+
+    static bool earlier(const Key &a, const Key &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
         return a.seq < b.seq;
     }
 
-    void enqueue(Event ev);
-    void push(Event ev);
+    void enqueue(Time when, Event ev);
+    void push(Time when, Event ev);
+    /** Store @p ev in a free slot of slots_ and return the slot. */
+    std::uint32_t park(Event ev);
     Event popMin();
     void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
+    /** @return the heap index the key at @p i came to rest at. */
+    std::size_t siftDown(std::size_t i);
+    /** Debug builds: assert heapIsValid() (after a bulk heapify). */
     void debugCheckHeap() const;
+    /** Debug builds: assert the invariant after a sift whose moves
+     *  all lie on the path from heap index @p i to the root. */
+    void debugCheckPath(std::size_t i) const;
     /** Advance the clock to @p deadline if it is behind it — the one
      *  clock rule both runUntil overloads end with. */
     Time advanceClock(Time deadline);
@@ -216,7 +234,11 @@ class EventQueue
     Time now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
-    std::vector<Event> heap_;
+    std::vector<Key> heap_;
+    /** Payloads of the events in heap_, indexed by Key::slot; the
+     *  slots of popped events are reused through free_slots_. */
+    std::vector<Event> slots_;
+    std::vector<std::uint32_t> free_slots_;
     /** Same-timestamp events scheduled during the current wave's
      *  commit phase: already seq-ordered, so they bypass the heap and
      *  become the wave's next sub-batch. */

@@ -11,7 +11,7 @@ namespace {
 
 // MT19937-64 parameters ([rand.predef] mt19937_64).
 constexpr std::size_t kN = Mt19937_64::kStateWords;
-constexpr std::size_t kM = 156;
+constexpr std::size_t kM = Mt19937_64::kShiftSize;
 constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
 constexpr std::uint64_t kUpperMask = ~0ULL << 31;
 constexpr std::uint64_t kLowerMask = ~kUpperMask;
@@ -42,15 +42,35 @@ struct OneShot
     unsigned calls = 0;
 };
 
+/** Seed words 0 .. n - 1 of an engine seeded with @p seed. */
+void
+seedWords(std::uint64_t seed, std::uint64_t *s, std::size_t n)
+{
+    s[0] = seed;
+    for (std::size_t i = 1; i < n; ++i)
+        s[i] = kInitMultiplier * (s[i - 1] ^ (s[i - 1] >> 62)) + i;
+}
+
 } // namespace
 
 Mt19937_64::Mt19937_64(result_type seed)
 {
-    state_[0] = seed;
-    for (std::size_t i = 1; i < kN; ++i) {
-        const std::uint64_t prev = state_[i - 1];
-        state_[i] = kInitMultiplier * (prev ^ (prev >> 62)) + i;
-    }
+    seedWords(seed, state_.data(), kN);
+}
+
+void
+Mt19937_64::firstOutputs(result_type seed, std::uint64_t *out,
+                         std::size_t n)
+{
+    fcos_assert(n <= kMaxFirstOutputs,
+                "firstOutputs covers %zu outputs, asked for %zu",
+                kMaxFirstOutputs, n);
+    if (n == 0)
+        return;
+    std::uint64_t s[kN];
+    seedWords(seed, s, kM + n);
+    for (std::size_t k = 0; k < n; ++k)
+        out[k] = temper(twistWord(s[k], s[k + 1], s[k + kM]));
 }
 
 void

@@ -17,6 +17,12 @@
  * in tight branchless loops instead of one call per draw. A Bernoulli
  * bit is an integer compare of the draw against bernoulliThreshold(p),
  * never a conversion to double.
+ *
+ * Mt19937_64::firstOutputs() is the prefix path for small pages: the
+ * first n <= kStateWords - kShiftSize = 156 outputs of a freshly seeded
+ * engine depend only on seed words 0 .. kShiftSize + n - 1, so a
+ * 256-bit page seeds 160 words and twists 4 instead of seeding and
+ * twisting all 312.
  */
 
 #ifndef FCOS_UTIL_RNG_H
@@ -43,6 +49,11 @@ class Mt19937_64
     using result_type = std::uint64_t;
 
     static constexpr std::size_t kStateWords = 312;
+    /** The twist's far-word offset (the standard's shift_size m). */
+    static constexpr std::size_t kShiftSize = 156;
+    /** Outputs firstOutputs() can produce: the first twist reads only
+     *  untwisted words up to here. */
+    static constexpr std::size_t kMaxFirstOutputs = kStateWords - kShiftSize;
     static constexpr result_type kDefaultSeed = 5489u;
 
     static constexpr result_type min() { return 0; }
@@ -59,6 +70,15 @@ class Mt19937_64
 
     /** The next @p n outputs, in order, into @p out. */
     void fill(std::uint64_t *out, std::size_t n);
+
+    /**
+     * The first @p n <= kMaxFirstOutputs outputs of Mt19937_64(@p seed),
+     * into @p out. Output k < kMaxFirstOutputs is
+     * temper(twist(s[k], s[k + 1], s[k + kShiftSize])) of the seeded
+     * state s, so only the seed words those read are computed.
+     */
+    static void firstOutputs(result_type seed, std::uint64_t *out,
+                             std::size_t n);
 
     /**
      * Draw @p nbits outputs and pack `output < threshold` into @p out,

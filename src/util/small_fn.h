@@ -112,7 +112,7 @@ template <typename R, typename... Args> class SmallFn<R(Args...)>
     {
         R (*invoke)(void *, Args &&...);
         /** Move-construct into @p dst from @p src, then destroy the
-         *  source — the single primitive event-heap swaps need. */
+         *  source — the single primitive an event move needs. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
         bool inlineStored;

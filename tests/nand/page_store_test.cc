@@ -198,6 +198,28 @@ TEST(PageStoreScaleTest, Table1ChipStaysUnderByteBudget)
               programmed * geom.pageBytes);
 }
 
+TEST(PageImageTest, RandomImagesMatchSeededRandomize)
+{
+    // Pages of at most 156 words (9984 bits) take the MT19937-64 prefix
+    // path at p = 0.5; wider pages and any other p take randomize().
+    // Every width must give exactly what randomize() on a seeded Rng
+    // gives, tail bits included.
+    for (std::size_t bits : {1u, 63u, 64u, 256u, 9984u, 9985u, 131072u}) {
+        for (double p : {0.5, 0.98}) {
+            for (std::uint64_t seed : {0ULL, 7ULL, 0xDEADBEEFCAFEULL}) {
+                BitVector want(bits);
+                Rng rng = Rng::seeded(seed);
+                want.randomize(rng, p);
+                const PageImage img = PageImage::random(seed, p);
+                EXPECT_EQ(img.materialize(bits), want)
+                    << "bits=" << bits << " p=" << p << " seed=" << seed;
+                EXPECT_EQ(img.inverted().materialize(bits), ~want)
+                    << "bits=" << bits << " p=" << p << " seed=" << seed;
+            }
+        }
+    }
+}
+
 TEST(PageStoreScaleTest, BroadcastCopiesShareOnePayload)
 {
     // CoW dense images: N broadcast copies of one page must account

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -202,6 +203,71 @@ TEST(EventQueueTest, MergePreservesStreamOrderAndQueueOrder)
     ASSERT_EQ(order.size(), 33u);
     for (int i = 0; i <= 32; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+TEST(EventQueueTest, KeyHeapMatchesSortedReferenceUnderChurn)
+{
+    // schedule, runOne, runUntil and both merge paths (per-event pushes
+    // and the Floyd heapify) interleaved at random, so payload slots are
+    // freed and reused many times over. Events must run in (when, seq)
+    // order — seq being the order they were handed to the queue — and
+    // the key heap must stay valid with pending() exact after each step.
+    EventQueue q;
+    Rng rng = Rng::seeded(17);
+    std::set<std::pair<Time, std::uint64_t>> ref; // (when, id) pending
+    std::vector<std::uint64_t> ran, want;
+    std::uint64_t next_id = 0;
+    auto event = [&](std::uint64_t id) {
+        return EventQueue::Callback([&ran, id] { ran.push_back(id); });
+    };
+    auto expectRun = [&](Time deadline) {
+        while (!ref.empty() && ref.begin()->first <= deadline) {
+            want.push_back(ref.begin()->second);
+            ref.erase(ref.begin());
+        }
+    };
+    int floyd_merges = 0;
+    for (int step = 0; step < 3000; ++step) {
+        const std::uint64_t op = rng.nextBounded(10);
+        if (op < 4) {
+            const Time when = q.now() + rng.nextBounded(40);
+            ref.emplace(when, next_id);
+            q.schedule(when, event(next_id++));
+        } else if (op < 6) {
+            const bool any = !ref.empty();
+            if (any) {
+                want.push_back(ref.begin()->second);
+                ref.erase(ref.begin());
+            }
+            EXPECT_EQ(q.runOne(), any);
+        } else if (op < 8) {
+            const Time deadline = q.now() + rng.nextBounded(30);
+            expectRun(deadline);
+            EXPECT_EQ(q.runUntil(deadline), deadline);
+        } else {
+            // Streams of 8+ entries at least a quarter of the queue's
+            // size take the Floyd path; shorter ones are pushed.
+            const bool floyd = op == 9 && q.pending() <= 4 * 48;
+            const std::size_t len = floyd ? 48 : 1 + rng.nextBounded(7);
+            floyd_merges += floyd;
+            std::vector<std::pair<Time, EventQueue::Callback>> stream;
+            for (std::size_t i = 0; i < len; ++i) {
+                const Time when = q.now() + rng.nextBounded(40);
+                ref.emplace(when, next_id);
+                stream.emplace_back(when, event(next_id++));
+            }
+            q.merge(std::move(stream));
+        }
+        ASSERT_EQ(ran, want) << "step " << step;
+        ASSERT_TRUE(q.heapIsValid()) << "step " << step;
+        ASSERT_EQ(q.pending(), ref.size()) << "step " << step;
+    }
+    EXPECT_GT(floyd_merges, 10);
+    expectRun(kTimeMax);
+    q.run();
+    EXPECT_EQ(ran, want);
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(q.executed(), next_id);
 }
 
 TEST(EventQueueTest, ShardedEventsRunWorkThenCommitSerially)
@@ -430,7 +496,7 @@ TEST(EventQueueTest, SteadyStateEventsDoNotTouchTheHeap)
 TEST(EventQueueTest, OversizedCapturesFallBackToTheHeap)
 {
     // Captures beyond the inline window still work — they pay one
-    // allocation at construction and none per heap swap.
+    // allocation at construction and none per move.
     EventQueue q;
     q.schedule(0, [] {});
     q.run();

@@ -55,6 +55,25 @@ TEST(RngTest, EngineGivesTheStandardCheckValue)
     EXPECT_EQ(v, 9981545732273789042ULL);
 }
 
+TEST(RngTest, FirstOutputsMatchStdMt19937_64)
+{
+    // The prefix path computes only the seed words the first twist
+    // reads; up to its bound of kMaxFirstOutputs (= 156) outputs it must
+    // equal the standard engine over many seeds.
+    static_assert(Mt19937_64::kMaxFirstOutputs == 156);
+    std::uint64_t out[Mt19937_64::kMaxFirstOutputs];
+    for (std::size_t n : {1u, 4u, 155u, 156u}) {
+        for (std::uint64_t i = 0; i < 1000; ++i) {
+            const std::uint64_t seed = Rng::mix(n, i);
+            Mt19937_64::firstOutputs(seed, out, n);
+            std::mt19937_64 ref(seed);
+            for (std::size_t k = 0; k < n; ++k)
+                ASSERT_EQ(out[k], ref())
+                    << "n=" << n << " seed=" << seed << " k=" << k;
+        }
+    }
+}
+
 TEST(RngTest, BulkAndScalarDrawsShareOneStream)
 {
     // Runs of nextU64() and fillU64() of assorted lengths, most starting
