@@ -2,17 +2,21 @@
  * @file
  * Google-benchmark microbenchmarks of the simulation substrate:
  * event-queue throughput, bulk bit-vector operations, seeded page
- * generation, MWS execution on
+ * generation and its kernels at each ISA level, MWS execution on
  * the functional chip, BCH coding, and plan compilation. These bound
  * how large a workload the timing/functional simulators can sustain.
  */
 
 #include "bench/minibench.h"
 
+#include <vector>
+
 #include "core/drive.h"
 #include "nand/chip.h"
 #include "reliability/bch.h"
 #include "sim/event_queue.h"
+#include "util/bitvector.h"
+#include "util/isa.h"
 #include "util/rng.h"
 
 using namespace fcos;
@@ -58,7 +62,8 @@ BM_BitVectorRandomize(benchmark::State &state)
     // One 16-KiB page at density range(0)/100: 50 takes the one-word-
     // per-draw path (bulk AND3 operands), any other density the
     // one-draw-per-bit Bernoulli path (98: the BMI bitmaps). This is
-    // the kernel behind NAND page materialization.
+    // the kernel behind NAND page materialization; the label names the
+    // ISA level its kernels were dispatched to.
     const double p_one = static_cast<double>(state.range(0)) / 100.0;
     Rng rng = Rng::seeded(3);
     BitVector page(16 * 1024 * 8);
@@ -68,8 +73,82 @@ BM_BitVectorRandomize(benchmark::State &state)
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations()); // pages
+    state.SetLabel(isaLevelName(activeIsaLevel()));
 }
 BENCHMARK(BM_BitVectorRandomize)->Arg(50)->Arg(98);
+
+// The dispatched kernels pinned to one ISA level, range(0) indexing
+// kIsaLevels (0 baseline, 1 x86-64-v3, 2 x86-64-v4), each per 16-KiB
+// page: the README's per-level table. Levels the host lacks are
+// skipped.
+bool
+pinIsaLevel(benchmark::State &state, IsaLevel &level)
+{
+    level = kIsaLevels[state.range(0)];
+    state.SetLabel(isaLevelName(level));
+    if (isaLevelSupported(level))
+        return true;
+    state.SkipWithError("ISA level not supported on this host");
+    return false;
+}
+
+void
+BM_LessThanBitsAtLevel(benchmark::State &state)
+{
+    // A freshly seeded engine draws one page at p = 0.98 (the BMI
+    // bitmaps' density).
+    IsaLevel level;
+    if (!pinIsaLevel(state, level))
+        return;
+    const std::uint64_t threshold = Rng::bernoulliThreshold(0.98);
+    std::vector<std::uint64_t> page(2048);
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        Mt19937_64 eng(++seed, level);
+        eng.lessThanBits(page.data(), page.size() * 64, threshold);
+        benchmark::DoNotOptimize(page.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations()); // pages
+}
+BENCHMARK(BM_LessThanBitsAtLevel)->Arg(0)->Arg(1)->Arg(2);
+
+void
+BM_SeedFillAtLevel(benchmark::State &state)
+{
+    // Seed an engine and fill one page of words (the p = 0.5 path).
+    IsaLevel level;
+    if (!pinIsaLevel(state, level))
+        return;
+    std::vector<std::uint64_t> page(2048);
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        Mt19937_64 eng(++seed, level);
+        eng.fill(page.data(), page.size());
+        benchmark::DoNotOptimize(page.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations()); // pages
+}
+BENCHMARK(BM_SeedFillAtLevel)->Arg(0)->Arg(1)->Arg(2);
+
+void
+BM_PopcountAtLevel(benchmark::State &state)
+{
+    IsaLevel level;
+    if (!pinIsaLevel(state, level))
+        return;
+    std::vector<std::uint64_t> page(2048);
+    Rng rng(4);
+    rng.fillU64(page.data(), page.size());
+    for (auto _ : state) {
+        benchmark::ClobberMemory();
+        std::size_t ones = popcountWords(page.data(), page.size(), level);
+        benchmark::DoNotOptimize(ones);
+    }
+    state.SetItemsProcessed(state.iterations()); // pages
+}
+BENCHMARK(BM_PopcountAtLevel)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_ChipMws48(benchmark::State &state)

@@ -4,8 +4,10 @@
  * Benchmark when the build found it (FCOS_HAVE_GOOGLE_BENCHMARK),
  * otherwise provides a minimal vendored implementation of the subset
  * the benches use — State with `for (auto _ : state)`, range(),
- * SetItemsProcessed / SetBytesProcessed, DoNotOptimize, ClobberMemory,
- * BENCHMARK() with ->Arg() chaining, and BENCHMARK_MAIN().
+ * SetItemsProcessed / SetBytesProcessed / SetLabel / SkipWithError
+ * (called before the loop), DoNotOptimize,
+ * ClobberMemory, BENCHMARK() with ->Arg() chaining, and
+ * BENCHMARK_MAIN().
  *
  * The fallback keeps bench_micro_engine building and running
  * everywhere instead of silently disappearing from the build (ROADMAP
@@ -50,6 +52,9 @@ class State
 
     void SetItemsProcessed(std::int64_t n) { items_ = n; }
     void SetBytesProcessed(std::int64_t n) { bytes_ = n; }
+    void SetLabel(const std::string &label) { label_ = label; }
+    /** Skip this run; call it before the loop and return. */
+    void SkipWithError(const std::string &msg) { error_ = msg; }
 
     // --- `for (auto _ : state)` support ---
     struct Value
@@ -81,6 +86,8 @@ class State
     }
     std::int64_t itemsProcessed() const { return items_; }
     std::int64_t bytesProcessed() const { return bytes_; }
+    const std::string &label() const { return label_; }
+    const std::string &error() const { return error_; }
 
   private:
     using Clock = std::chrono::steady_clock;
@@ -111,6 +118,8 @@ class State
     std::uint64_t check_mask_ = 0;
     std::int64_t items_ = 0;
     std::int64_t bytes_ = 0;
+    std::string label_;
+    std::string error_;
     Clock::time_point start_{};
 };
 
@@ -161,13 +170,18 @@ runOne(const Registration &reg, const std::vector<std::int64_t> &args)
 {
     State state(args);
     reg.fn(state);
+    std::string label = reg.name;
+    for (std::int64_t a : args)
+        label += "/" + std::to_string(a);
+    if (!state.error().empty()) {
+        std::printf("%-40s skipped: %s\n", label.c_str(),
+                    state.error().c_str());
+        return;
+    }
     double seconds = state.elapsedSeconds();
     double per_iter_ns = seconds * 1e9 /
                          static_cast<double>(
                              state.iterations() ? state.iterations() : 1);
-    std::string label = reg.name;
-    for (std::int64_t a : args)
-        label += "/" + std::to_string(a);
     std::printf("%-40s %12.1f ns/iter %10llu iters", label.c_str(),
                 per_iter_ns,
                 static_cast<unsigned long long>(state.iterations()));
@@ -185,6 +199,8 @@ runOne(const Registration &reg, const std::vector<std::int64_t> &args)
                              seconds,
                          "B")
                         .c_str());
+    if (!state.label().empty())
+        std::printf("  %s", state.label().c_str());
     std::printf("\n");
 }
 

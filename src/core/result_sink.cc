@@ -1,7 +1,5 @@
 #include "core/result_sink.h"
 
-#include <bit>
-
 #include "util/log.h"
 
 namespace fcos::core {
@@ -75,13 +73,12 @@ PopcountSink::consume(const ResultChunk &chunk)
 {
     const std::vector<std::uint64_t> &words = chunk.page.words();
     std::uint64_t full = chunk.bits / 64;
-    std::uint64_t ones = 0;
-    for (std::uint64_t w = 0; w < full; ++w)
-        ones += static_cast<std::uint64_t>(std::popcount(words[w]));
+    std::uint64_t ones = popcountWords(words.data(), full);
     std::uint64_t tail = chunk.bits % 64;
-    if (tail)
-        ones += static_cast<std::uint64_t>(
-            std::popcount(words[full] & ((1ULL << tail) - 1)));
+    if (tail) {
+        const std::uint64_t last = words[full] & ((1ULL << tail) - 1);
+        ones += popcountWords(&last, 1);
+    }
     ones_ += ones;
     bits_ += chunk.bits;
 }

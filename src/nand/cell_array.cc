@@ -125,10 +125,17 @@ CellArray::effectiveData(const WordlineAddr &addr, ErrorInjector *injector,
     const StoredPage *sp = store_->find(key);
     if (!sp)
         return BitVector(geom_.pageBits(), true); // erased: all '1'
-    BitVector bits = sp->image.materialize(geom_.pageBits());
+    return sensedPage(key, *sp, injector, read_seq);
+}
+
+BitVector
+CellArray::sensedPage(std::uint64_t key, const StoredPage &page,
+                      ErrorInjector *injector, std::uint64_t read_seq) const
+{
+    BitVector bits = page.image.materialize(geom_.pageBits());
     if (injector) {
         std::uint64_t seed = key * 0x2545F491ULL + read_seq;
-        injector->inject(bits, sp->meta, seed);
+        injector->inject(bits, page.meta, seed);
     }
     return bits;
 }
@@ -140,7 +147,8 @@ CellArray::senseConduction(std::uint32_t plane,
                            std::uint64_t read_seq) const
 {
     fcos_assert(!selections.empty(), "MWS with empty selection");
-    BitVector result(geom_.pageBits(), false);
+    fcos_assert(plane < geom_.planesPerDie, "plane %u out of range", plane);
+    BitVector result; // empty until the first string
     for (const auto &sel : selections) {
         fcos_assert(sel.block < geom_.blocksPerPlane &&
                         sel.subBlock < geom_.subBlocksPerBlock,
@@ -151,20 +159,32 @@ CellArray::senseConduction(std::uint32_t plane,
             geom_.wordlinesPerSubBlock >= 64 ||
                 (sel.wlMask >> geom_.wordlinesPerSubBlock) == 0,
             "wordline mask beyond string length");
-        // AND across target wordlines of the same string. Erased
-        // wordlines sense as all-'1' — the AND identity — so only
-        // programmed pages are materialized.
-        BitVector string_conduction(geom_.pageBits(), true);
-        for (std::uint32_t wl = 0; wl < geom_.wordlinesPerSubBlock; ++wl) {
-            if (!(sel.wlMask & (1ULL << wl)))
+        // AND across target wordlines of the same string, starting from
+        // its first programmed page. Erased wordlines sense as all-'1' —
+        // the AND identity — so only programmed pages are materialized,
+        // and a string with none conducts on every bitline.
+        BitVector string; // empty until the first programmed page
+        for (std::uint64_t m = sel.wlMask; m != 0; m &= m - 1) {
+            const WordlineAddr a{plane, sel.block, sel.subBlock,
+                                 static_cast<std::uint32_t>(
+                                     std::countr_zero(m))};
+            const std::uint64_t key = planeKey(plane, wordlineIndex(geom_, a));
+            const StoredPage *sp = store_->find(key);
+            if (!sp)
                 continue;
-            WordlineAddr a{plane, sel.block, sel.subBlock, wl};
-            if (!isProgrammed(a))
-                continue;
-            string_conduction &= effectiveData(a, injector, read_seq);
+            BitVector bits = sensedPage(key, *sp, injector, read_seq);
+            if (string.empty())
+                string = std::move(bits);
+            else
+                string &= bits;
         }
+        if (string.empty())
+            string = BitVector(geom_.pageBits(), true);
         // OR across distinct strings sharing the bitlines.
-        result |= string_conduction;
+        if (result.empty())
+            result = std::move(string);
+        else
+            result |= string;
     }
     return result;
 }

@@ -133,6 +133,12 @@ class CellArray
     std::size_t contentBytes() const { return store_->contentBytes(); }
 
   private:
+    /** What the sense amp reads of programmed page @p page at @p key:
+     *  its payload with @p injector errors applied. */
+    BitVector sensedPage(std::uint64_t key, const StoredPage &page,
+                         ErrorInjector *injector,
+                         std::uint64_t read_seq) const;
+
     std::uint64_t planeKey(std::uint32_t plane, std::uint64_t wl_idx) const
     {
         return static_cast<std::uint64_t>(plane) *

@@ -52,7 +52,75 @@ foldWords(std::uint64_t *dst, const std::uint64_t *src, std::size_t n,
 }
 #endif
 
+// ---------------------------------------------------------------------
+// popcountWords, written once and compiled per ISA level (util/isa.h).
+// The baseline x86-64 target has no popcnt instruction, so there
+// std::popcount is a libgcc call per word; x86-64-v3 counts a word in
+// one popcnt. x86-64-v4 runs the v3 build: its feature set has no
+// AVX512-VPOPCNTDQ, so it would count with the same scalar popcnt.
+// ---------------------------------------------------------------------
+FCOS_KERNEL_BODY std::size_t
+popcountBody(const std::uint64_t *p, std::size_t n)
+{
+    // Four accumulators keep the adds off one dependency chain.
+    std::size_t a = 0, b = 0, c = 0, d = 0;
+    for (; n >= 4; n -= 4, p += 4) {
+        a += static_cast<std::size_t>(std::popcount(p[0]));
+        b += static_cast<std::size_t>(std::popcount(p[1]));
+        c += static_cast<std::size_t>(std::popcount(p[2]));
+        d += static_cast<std::size_t>(std::popcount(p[3]));
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        a += static_cast<std::size_t>(std::popcount(p[i]));
+    return a + b + c + d;
+}
+
+using PopcountFn = std::size_t (*)(const std::uint64_t *, std::size_t);
+
+std::size_t
+popcountBaseline(const std::uint64_t *p, std::size_t n)
+{
+    return popcountBody(p, n);
+}
+
+#if FCOS_ISA_DISPATCH
+FCOS_TARGET_V3 std::size_t
+popcountV3(const std::uint64_t *p, std::size_t n)
+{
+    return popcountBody(p, n);
+}
+#endif
+
+PopcountFn
+popcountAt(IsaLevel level)
+{
+    fcos_assert(isaLevelSupported(level), "ISA level %s not supported here",
+                isaLevelName(level));
+    switch (level) {
+#if FCOS_ISA_DISPATCH
+    case IsaLevel::X86_64_V4: // no VPOPCNTDQ: v3's popcnt is as fast
+    case IsaLevel::X86_64_V3:
+        return popcountV3;
+#endif
+    default:
+        return popcountBaseline;
+    }
+}
+
 } // namespace
+
+std::size_t
+popcountWords(const std::uint64_t *words, std::size_t n)
+{
+    static const PopcountFn active = popcountAt(activeIsaLevel());
+    return active(words, n);
+}
+
+std::size_t
+popcountWords(const std::uint64_t *words, std::size_t n, IsaLevel level)
+{
+    return popcountAt(level)(words, n);
+}
 
 BitVector::BitVector(std::size_t n, bool value)
     : nbits_(n), words_(wordsFor(n), value ? ~0ULL : 0ULL)
@@ -115,20 +183,7 @@ BitVector::resize(std::size_t n, bool value)
 std::size_t
 BitVector::popcount() const
 {
-    // Four accumulators break the add dependency chain so the per-word
-    // popcnt issues back to back.
-    const std::uint64_t *p = words_.data();
-    std::size_t n = words_.size();
-    std::size_t a = 0, b = 0, c = 0, d = 0;
-    for (; n >= 4; n -= 4, p += 4) {
-        a += static_cast<std::size_t>(std::popcount(p[0]));
-        b += static_cast<std::size_t>(std::popcount(p[1]));
-        c += static_cast<std::size_t>(std::popcount(p[2]));
-        d += static_cast<std::size_t>(std::popcount(p[3]));
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        a += static_cast<std::size_t>(std::popcount(p[i]));
-    return a + b + c + d;
+    return popcountWords(words_.data(), words_.size());
 }
 
 bool
@@ -206,9 +261,16 @@ BitVector::hammingDistance(const BitVector &o) const
 {
     fcos_assert(nbits_ == o.nbits_, "size mismatch %zu vs %zu", nbits_,
                 o.nbits_);
+    // Count the xor a stack block at a time.
+    constexpr std::size_t kBlock = 256;
+    std::uint64_t diff[kBlock];
     std::size_t n = 0;
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        n += static_cast<std::size_t>(std::popcount(words_[i] ^ o.words_[i]));
+    for (std::size_t i = 0; i < words_.size(); i += kBlock) {
+        const std::size_t k = std::min(kBlock, words_.size() - i);
+        for (std::size_t j = 0; j < k; ++j)
+            diff[j] = words_[i + j] ^ o.words_[i + j];
+        n += popcountWords(diff, k);
+    }
     return n;
 }
 

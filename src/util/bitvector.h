@@ -20,9 +20,21 @@
 #include <string>
 #include <vector>
 
+#include "util/isa.h"
+
 namespace fcos {
 
 class Rng;
+
+/**
+ * Number of '1' bits in @p words[0, @p n): the library's one popcount
+ * kernel, run at activeIsaLevel() (util/isa.h).
+ */
+std::size_t popcountWords(const std::uint64_t *words, std::size_t n);
+
+/** The same kernel at @p level, which must be supported (tests). */
+std::size_t popcountWords(const std::uint64_t *words, std::size_t n,
+                          IsaLevel level);
 
 class BitVector
 {

@@ -18,11 +18,22 @@
  * bit is an integer compare of the draw against bernoulliThreshold(p),
  * never a conversion to double.
  *
+ * Those block loops are the ISA-dispatched kernels of util/isa.h: the
+ * twist of the state, the temper-and-copy of fill(), and the whole
+ * draw/compare/pack loop of lessThanBits(). Each is written once over
+ * lane vectors and compiled for the baseline target (one word per
+ * step), x86-64-v3 (AVX2, 4 words) and x86-64-v4 (AVX-512, 8 words);
+ * an engine runs the highest level the host supports unless a level
+ * is named at construction. They are integer code, so every level
+ * yields the std::mt19937_64 sequence bit for bit
+ * (tests/util/isa_dispatch_test.cc runs each level against it).
+ *
  * Mt19937_64::firstOutputs() is the prefix path for small pages: the
  * first n <= kStateWords - kShiftSize = 156 outputs of a freshly seeded
  * engine depend only on seed words 0 .. kShiftSize + n - 1, so a
  * 256-bit page seeds 160 words and twists 4 instead of seeding and
- * twisting all 312.
+ * twisting all 312. It and the seeding loop stay serial baseline code:
+ * each seed word depends on the one before.
  */
 
 #ifndef FCOS_UTIL_RNG_H
@@ -33,7 +44,28 @@
 #include <cstdint>
 #include <random>
 
+#include "util/isa.h"
+
 namespace fcos {
+
+namespace detail {
+
+/** MT19937-64 tempering of one word, or of each lane of an
+ *  isa::Lanes vector. */
+template <typename T>
+FCOS_KERNEL_BODY T
+mtTemper(T y)
+{
+    y ^= (y >> 29) & 0x5555555555555555ULL;
+    y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+    y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+    return y ^ (y >> 43);
+}
+
+/** Block kernels at one ISA level (defined in rng.cc). */
+struct MtKernels;
+
+} // namespace detail
 
 /**
  * MT19937-64, the generator the C++ standard names std::mt19937_64:
@@ -59,13 +91,19 @@ class Mt19937_64
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
+    /** Block kernels at activeIsaLevel(). */
     explicit Mt19937_64(result_type seed = kDefaultSeed);
+
+    /** Block kernels at @p level, which must be supported: the
+     *  dispatch test and bench_micro_engine's *AtLevel rows compare
+     *  levels with it. The outputs are the same. */
+    Mt19937_64(result_type seed, IsaLevel level);
 
     result_type operator()()
     {
         if (next_ >= kStateWords)
             twist();
-        return temper(state_[next_++]);
+        return detail::mtTemper(state_[next_++]);
     }
 
     /** The next @p n outputs, in order, into @p out. */
@@ -89,19 +127,14 @@ class Mt19937_64
                       std::uint64_t threshold);
 
   private:
-    static result_type temper(result_type y)
-    {
-        y ^= (y >> 29) & 0x5555555555555555ULL;
-        y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
-        y ^= (y << 37) & 0xFFF7EEE000000000ULL;
-        return y ^ (y >> 43);
-    }
-
     /** Regenerate all kStateWords state words and rewind next_. */
     void twist();
 
     std::array<std::uint64_t, kStateWords> state_; ///< set by the ctor
     std::size_t next_ = kStateWords;              ///< next unread word
+    /// The level's kernels, set by the ctor. Per engine only so tests
+    /// and benches can pin a level; one indirect call per block.
+    const detail::MtKernels *kernels_;
 };
 
 class Rng

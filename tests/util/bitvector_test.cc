@@ -357,6 +357,21 @@ TEST(BitVectorPropertyTest, PopcountMatchesScalarReference)
     }
 }
 
+TEST(BitVectorPropertyTest, HammingDistanceMatchesScalarReference)
+{
+    // Sizes around the 256-word block hammingDistance counts at a time.
+    Rng rng = Rng::seeded(81);
+    for (std::size_t n : {0u, 65u, 16383u, 16384u, 16385u, 16448u, 131077u}) {
+        BitVector a(n), b(n);
+        a.randomize(rng, 0.3);
+        b.randomize(rng, 0.6);
+        std::size_t want = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            want += a.get(i) != b.get(i) ? 1u : 0u;
+        EXPECT_EQ(a.hammingDistance(b), want) << "n=" << n;
+    }
+}
+
 TEST(BitVectorTest, EqualityRequiresSameSize)
 {
     BitVector a(10), b(11);
