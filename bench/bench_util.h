@@ -69,24 +69,6 @@ ratioStr(double v)
     return buf;
 }
 
-/** "1.23G items/s"-style rate formatting (shared with the vendored
- *  minibench harness so there is exactly one rate formatter). */
-inline std::string
-rateStr(double per_second, const char *unit)
-{
-    char buf[64];
-    if (per_second >= 1e9)
-        std::snprintf(buf, sizeof(buf), "%.2fG %s/s", per_second / 1e9,
-                      unit);
-    else if (per_second >= 1e6)
-        std::snprintf(buf, sizeof(buf), "%.2fM %s/s", per_second / 1e6,
-                      unit);
-    else
-        std::snprintf(buf, sizeof(buf), "%.2fk %s/s", per_second / 1e3,
-                      unit);
-    return buf;
-}
-
 } // namespace fcos::bench
 
 #endif // FCOS_BENCH_BENCH_UTIL_H

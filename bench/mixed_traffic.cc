@@ -3,15 +3,13 @@
  * Mixed traffic — overlapped read / write / compute requests through
  * the drive's admission queue (the concurrent request API).
  *
- * Two tables. The first is the deterministic throughput-vs-latency
- * sweep over arrival rates and QoS weight settings: per-class
- * simulated p50/p99 end-to-end latency (arrival to completion, queue
- * wait included), traffic span, energy, and the payload digest — all
- * bit-identical at any worker count, and pinned as a golden by
- * tests/core/traffic_golden_test.cc. The second measures the host
- * simulator itself: wall-clock requests/second of the heaviest sweep
- * point at 1, 2, and 4 workers, with the digest certifying that the
- * worker count never perturbed the simulated schedule.
+ * The deterministic throughput-vs-latency sweep over arrival rates
+ * and QoS weight settings: per-class simulated p50/p99 end-to-end
+ * latency (arrival to completion, queue wait included), traffic span,
+ * energy, and the payload digest — all bit-identical at any worker
+ * count, and pinned as a golden by tests/core/traffic_golden_test.cc.
+ * Host throughput of open-loop serving is measured by fcbench's
+ * `serve_query` workload.
  */
 
 #include "bench/bench_util.h"
@@ -49,26 +47,5 @@ main(int argc, char **argv)
                       bench::ratioStr(timeToUs(qos.makespan) /
                                       timeToUs(flat.makespan)));
     }
-
-    // Host-simulator throughput of the most contended point at 1/2/4
-    // worker lanes. The digest column is the determinism certificate:
-    // identical digests mean identical simulated schedules.
-    TablePrinter wall("host simulator: wall-clock requests/second");
-    wall.setHeader({"workers", "reqs", "wall s", "req/s", "digest ok"});
-    core::TrafficConfig heavy;
-    heavy.interArrivalUs = 2.0;
-    std::uint64_t base_digest = 0;
-    for (std::uint32_t workers : {1u, 2u, 4u}) {
-        heavy.drive.workers = workers;
-        const core::TrafficPoint p = core::runMixedTraffic(heavy);
-        if (workers == 1)
-            base_digest = p.digest;
-        wall.addRow({TablePrinter::cellInt(workers),
-                     TablePrinter::cellInt(heavy.requests),
-                     TablePrinter::cell(p.wallSeconds, 4),
-                     TablePrinter::cell(p.requestsPerSecond, 1),
-                     p.digest == base_digest ? "yes" : "NO"});
-    }
-    wall.print();
     return 0;
 }

@@ -83,7 +83,6 @@ runMixedTraffic(const TrafficConfig &cfg)
     std::vector<DigestSink> sinks(read_count);
     std::vector<Time> lats[3];
 
-    const auto wall0 = std::chrono::steady_clock::now();
     std::size_t r = 0;
     for (std::uint32_t i = 0; i < cfg.requests; ++i) {
         const std::size_t cls = classOfSlot(i);
@@ -118,8 +117,6 @@ runMixedTraffic(const TrafficConfig &cfg)
             drive.advanceTo(ro.arrival);
     }
     drive.waitAll();
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - wall0;
 
     TrafficPoint p;
     for (int c = 0; c < 3; ++c)
@@ -132,9 +129,6 @@ runMixedTraffic(const TrafficConfig &cfg)
     for (const DigestSink &s : sinks)
         d = fnvStep(d, s.digest());
     p.digest = d;
-    p.wallSeconds = wall.count();
-    p.requestsPerSecond =
-        wall.count() > 0.0 ? cfg.requests / wall.count() : 0.0;
     return p;
 }
 

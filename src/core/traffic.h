@@ -69,8 +69,6 @@ struct TrafficPoint
     /** Order-sensitive fold of every read request's stream digest —
      *  the cross-worker-count determinism certificate. */
     std::uint64_t digest = 0;
-    double wallSeconds = 0.0;
-    double requestsPerSecond = 0.0;
 };
 
 /** Run one mixed-traffic configuration to completion. */

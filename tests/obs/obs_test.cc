@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/drive.h"
+#include "core/result_sink.h"
 #include "obs/obs.h"
 #include "reliability/error_injector.h"
 #include "reliability/vth_model.h"
@@ -252,6 +253,44 @@ TEST(ObsEndToEndTest, MetricsSnapshotMatchesGolden)
     runSmallWorkload(/*workers=*/1);
     EXPECT_TRUE(
         test::MatchesGolden(cap.metricsText(), "golden/obs_metrics.txt"));
+}
+
+/** Stream digest of a multi-die AND3 (third operand stored inverted),
+ *  two rows per plane column, read into a DigestSink. */
+std::uint64_t
+and3StreamDigest()
+{
+    core::FlashCosmosDrive::Config cfg;
+    cfg.channels = 2;
+    cfg.dies = 2;
+    cfg.geometry.planesPerDie = 2;
+    core::FlashCosmosDrive drive(cfg);
+
+    const std::uint64_t pages = 2 * cfg.columnCount();
+    auto gen = [](std::uint64_t vec) {
+        return [vec](std::uint64_t j) {
+            return nand::PageImage::random(Rng::mix(9100 + vec, j));
+        };
+    };
+    const std::uint64_t group = 5;
+    core::VectorId a = drive.fcWritePages(gen(0), pages, {group, false});
+    core::VectorId b = drive.fcWritePages(gen(1), pages, {group, false});
+    core::VectorId c = drive.fcWritePages(gen(2), pages, {group, true});
+
+    core::DigestSink digest;
+    drive.fcRead(core::Expr::And({core::Expr::leaf(a), core::Expr::leaf(b),
+                                  core::Expr::leaf(c)}),
+                 digest);
+    return digest.digest();
+}
+
+TEST(ObsEndToEndTest, CaptureLeavesStreamDigestUnchanged)
+{
+    const std::uint64_t plain = and3StreamDigest();
+    obs::ScopedCapture cap(/*trace=*/true, /*metrics=*/true);
+    EXPECT_EQ(and3StreamDigest(), plain);
+    EXPECT_GT(cap.tracer().events(), 0u);
+    EXPECT_FALSE(cap.metricsRegistry().empty());
 }
 
 TEST(ObsEndToEndTest, DisabledHooksRecordNothing)
