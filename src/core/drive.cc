@@ -4,71 +4,56 @@
 #include <map>
 
 #include "core/lowering.h"
-#include "engine/result_stream.h"
 #include "util/log.h"
 
 namespace fcos::core {
 
+/** One request from submit to completion, owned by its completion
+ *  hook: every engine callback of the request fires before then. */
+struct FlashCosmosDrive::RequestState
+{
+    RequestId id = 0;
+    /** Trace track / latency histogram name (a string literal). */
+    const char *name = nullptr;
+    ReadStats *stats = nullptr;
+    engine::OpStats os; ///< kept only when the caller asked for stats
+    /** Reads: the caller's sink and the result's page count. */
+    ResultSink *sink = nullptr;
+    std::uint64_t pages = 0;
+    /** Planned reads: puts column results back into page order. */
+    std::unique_ptr<engine::OrderedChunkStream> stream;
+    /** Fallbacks: each column's leaf pages read to the controller,
+     *  the column reads still in flight, and what runs once the last
+     *  one lands. */
+    std::vector<std::map<VectorId, BitVector>> leafPages;
+    std::size_t leafReadsLeft = 0;
+    std::function<void()> onLeavesRead;
+    std::function<void(const engine::RequestQueue::Outcome &)> onOutcome;
+
+    engine::OpStats *counters() { return stats ? &os : nullptr; }
+};
+
 namespace {
 
-/** Config-level observability knobs must take effect before the engine
- *  (and its scheduler/queue) is constructed, because components
- *  capture the obs epoch at construction. Runs in cfg_'s initializer,
- *  which precedes engine_'s. */
-const FlashCosmosDrive::Config &
-applyObsKnobs(const FlashCosmosDrive::Config &cfg)
+/** A one-step column program on (@p die, @p plane) whose result stays
+ *  on the die. */
+engine::ColumnProgram
+stepProgram(std::uint32_t die, std::uint32_t plane, engine::ColumnStep step)
 {
-    if (!cfg.traceFile.empty())
-        obs::enableTrace(cfg.traceFile);
-    if (!cfg.metricsFile.empty())
-        obs::enableMetrics(cfg.metricsFile);
-    return cfg;
+    engine::ColumnProgram p;
+    p.die = die;
+    p.plane = plane;
+    p.readOutResult = false;
+    p.steps.push_back(std::move(step));
+    return p;
 }
-
-/** Emit adapter shared by every streamed read path: clamps page @p j
- *  to the vector's @p bits tail and hands it to @p sink. */
-engine::OrderedChunkStream::Emit
-sinkEmitter(ResultSink &sink, std::uint64_t page_bits,
-            std::uint64_t bits)
-{
-    return [&sink, page_bits, bits](std::uint64_t j, BitVector page) {
-        fcos_assert(!page.empty(), "column %llu produced no result",
-                    (unsigned long long)j);
-        std::uint64_t begin = j * page_bits;
-        std::uint64_t len =
-            std::min<std::uint64_t>(page_bits, bits - begin);
-        sink.consume(ResultChunk{j, begin, len, page});
-    };
-}
-
-/** Per-request state of a streamed (planned) read. */
-struct StreamJob
-{
-    engine::OpStats os;
-    std::unique_ptr<engine::OrderedChunkStream> stream;
-};
-
-/** Per-request state of a fallback read/compute: captured leaf pages
- *  per column, evaluated controller-side at completion. */
-struct FallbackJob
-{
-    engine::OpStats os;
-    std::vector<std::shared_ptr<std::map<VectorId, BitVector>>> vals;
-    std::size_t leafReadsLeft = 0;
-};
-
-/** Per-request state of write-like ops (stats tallies only). */
-struct OpJob
-{
-    engine::OpStats os;
-};
 
 } // namespace
 
 FlashCosmosDrive::FlashCosmosDrive() : FlashCosmosDrive(Config{}) {}
 
 FlashCosmosDrive::FlashCosmosDrive(const Config &cfg)
-    : cfg_(applyObsKnobs(cfg)), engine_(cfg),
+    : cfg_(cfg), engine_(cfg),
       rq_(engine_.scheduler(), cfg.admission),
       ftl_(cfg.dieCount(), cfg.geometry), planner_(*this)
 {
@@ -261,47 +246,31 @@ FlashCosmosDrive::submitGcPlan(const ssd::Ftl::GcPlan &plan)
     for (const ssd::Ftl::GcMove &m : plan.moves)
         write_keys.push_back(ssd::Ftl::blockKey(m.dst));
 
-    auto moves =
-        std::make_shared<std::vector<ssd::Ftl::GcMove>>(plan.moves);
-    rq_.submit(
-        engine::RequestClass::Write, engine_.now(), {},
-        std::move(write_keys),
-        [this, moves, die, plane, block = plan.block](RequestId req) {
+    submitRequest(
+        engine::RequestClass::Write, "gc", {}, std::move(write_keys),
+        nullptr, {},
+        [this, moves = plan.moves, die, plane,
+         block = plan.block](RequestState &r) {
             // One copyback program per live page, then the erase: all
             // on one plane, so the plane FIFO runs the copies strictly
             // before the erase regardless of admission interleaving.
-            for (const ssd::Ftl::GcMove &m : *moves) {
-                rq_.addWork(req);
-                engine::ColumnProgram p;
-                p.die = die;
-                p.plane = plane;
-                p.readOutResult = false;
-                p.onComplete = [this, req] { rq_.workDone(req); };
-                p.steps.push_back(engine::ColumnStep{
-                    engine::StepKind::Copyback,
-                    [src = m.src.addr,
-                     dst = m.dst.addr](nand::NandChip &chip) {
-                        return chip.copyback(src, dst);
-                    },
-                    0, 0});
-                engine_.submit(std::move(p), nullptr);
+            for (const ssd::Ftl::GcMove &m : moves) {
+                submitProgram(
+                    r, stepProgram(die, plane,
+                                   {engine::StepKind::Copyback,
+                                    [src = m.src.addr, dst = m.dst.addr](
+                                        nand::NandChip &chip) {
+                                        return chip.copyback(src, dst);
+                                    },
+                                    0, 0}));
             }
-            rq_.addWork(req);
-            engine::ColumnProgram e;
-            e.die = die;
-            e.plane = plane;
-            e.readOutResult = false;
-            e.onComplete = [this, req] { rq_.workDone(req); };
-            e.steps.push_back(engine::ColumnStep{
-                engine::StepKind::Erase,
-                [plane, block](nand::NandChip &chip) {
-                    return chip.eraseBlock(plane, block);
-                },
-                0, 0});
-            engine_.submit(std::move(e), nullptr);
-        },
-        [this](const engine::RequestQueue::Outcome &oc) {
-            noteRequest("gc", oc.admitted, oc.completed);
+            submitProgram(
+                r, stepProgram(die, plane,
+                               {engine::StepKind::Erase,
+                                [plane, block](nand::NandChip &chip) {
+                                    return chip.eraseBlock(plane, block);
+                                },
+                                0, 0}));
         });
 }
 
@@ -311,13 +280,8 @@ FlashCosmosDrive::blockKeysOf(
 {
     std::vector<std::uint64_t> keys;
     keys.reserve(pages.size());
-    for (const ssd::PhysPage &p : pages) {
-        keys.push_back((std::uint64_t{p.die} << 40) |
-                       (std::uint64_t{p.addr.plane} << 32) |
-                       p.addr.block);
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (const ssd::PhysPage &p : pages)
+        keys.push_back(ssd::Ftl::blockKey(p));
     return keys;
 }
 
@@ -325,33 +289,123 @@ std::vector<std::uint64_t>
 FlashCosmosDrive::readKeysOf(const std::vector<VectorId> &leaves) const
 {
     std::vector<std::uint64_t> keys;
-    for (VectorId id : leaves) {
-        std::vector<std::uint64_t> k =
-            blockKeysOf(resolvePages(info(id).pages));
-        keys.insert(keys.end(), k.begin(), k.end());
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (VectorId id : leaves)
+        for (ssd::Lpn lpn : info(id).pages)
+            keys.push_back(ssd::Ftl::blockKey(ftl_.physOf(lpn)));
     return keys;
 }
 
-Time
-FlashCosmosDrive::arrivalTime(const RequestOptions &ro) const
+// --------------------------------------------------------------------------
+// The request helper: every submit* (and GC) goes through submitRequest,
+// registers its engine work through addWork, and completes in
+// finishRequest.
+// --------------------------------------------------------------------------
+
+template <typename Start>
+engine::RequestId
+FlashCosmosDrive::submitRequest(engine::RequestClass cls, const char *name,
+                                std::vector<std::uint64_t> read_keys,
+                                std::vector<std::uint64_t> write_keys,
+                                ReadStats *stats, const RequestOptions &ro,
+                                Start start)
 {
-    return std::max(ro.arrival, engine_.now());
+    auto state = std::make_shared<RequestState>();
+    state->name = name;
+    state->stats = stats;
+    state->onOutcome = ro.onOutcome;
+    RequestState *r = state.get();
+    return rq_.submit(
+        cls, std::max(ro.arrival, engine_.now()), std::move(read_keys),
+        std::move(write_keys),
+        [r, start = std::move(start)](RequestId id) mutable {
+            r->id = id;
+            start(*r);
+        },
+        [this, state = std::move(state)](
+            const engine::RequestQueue::Outcome &oc) {
+            finishRequest(*state, oc);
+        });
+}
+
+std::function<void()>
+FlashCosmosDrive::addWork(RequestState &r, std::size_t units)
+{
+    for (std::size_t i = 0; i < units; ++i)
+        rq_.addWork(r.id);
+    return [this, id = r.id] { rq_.workDone(id); };
 }
 
 void
-FlashCosmosDrive::submitPageWrite(const ssd::PhysPage &dst,
-                                  nand::PageImage page,
-                                  engine::OpStats *stats,
-                                  std::function<void()> done)
+FlashCosmosDrive::finishRequest(RequestState &r,
+                                const engine::RequestQueue::Outcome &oc)
 {
-    engine::ColumnProgram p;
-    p.die = dst.die;
-    p.plane = dst.addr.plane;
-    p.readOutResult = false;
-    p.onComplete = std::move(done);
+    if (ReadStats *s = r.stats) {
+        s->mwsCommands += r.os.mwsCommands;
+        s->senses += r.os.senses;
+        s->latchXors += r.os.latchXors;
+        s->pageReads += r.os.pageReads;
+        s->nandTime += r.os.nandTime;
+        s->nandEnergyJ += r.os.nandEnergyJ;
+        s->makespan += oc.completed - oc.admitted;
+    }
+    // The request window on the "requests" track and its end-to-end
+    // latency histogram. Serial traffic records B/E spans —
+    // byte-identical to the historical one-request-at-a-time trace. A
+    // window overlapping the previous one records as an X overlay
+    // instead (Perfetto orders X events by timestamp itself, so
+    // completion-order recording is safe).
+    if (obs::traceLive(trace_epoch_)) {
+        if (oc.admitted >= req_last_end_)
+            obs::trace().span(req_track_, r.name, oc.admitted, oc.completed);
+        else
+            obs::trace().overlay(req_track_, r.name, oc.admitted,
+                                 oc.completed);
+        req_last_end_ = std::max(req_last_end_, oc.completed);
+    }
+    if (obs::metricsLive(m_epoch_)) {
+        obs::metrics()
+            .histogram(std::string("drive.latency.") + r.name)
+            .record(oc.completed - oc.admitted);
+    }
+    if (r.sink) {
+        fcos_assert(!r.stream || r.stream->complete(),
+                    "streamed %s lost pages", r.name);
+        if (ReadStats *s = r.stats) {
+            s->resultPages += r.pages;
+            s->streamChunks += r.pages;
+            // A fallback holds every page until it evaluates them.
+            s->streamPeakPages = std::max<std::uint64_t>(
+                s->streamPeakPages,
+                r.stream ? r.stream->peakBufferedPages() : r.pages);
+        }
+        r.sink->end();
+    }
+    if (r.onOutcome)
+        r.onOutcome(oc);
+}
+
+void
+FlashCosmosDrive::submitProgram(RequestState &r, engine::ColumnProgram prog)
+{
+    std::function<void()> done = addWork(r, 1);
+    if (prog.onComplete) {
+        // The program's own continuation runs first, so work it
+        // registers keeps the request open.
+        prog.onComplete = [then = std::move(prog.onComplete),
+                           done = std::move(done)] {
+            then();
+            done();
+        };
+    } else {
+        prog.onComplete = std::move(done);
+    }
+    engine_.submit(std::move(prog), r.counters());
+}
+
+void
+FlashCosmosDrive::submitPageWrite(RequestState &r, const ssd::PhysPage &dst,
+                                  nand::PageImage page)
+{
     engine::ColumnStep st;
     st.kind = engine::StepKind::Program;
     // Program data moves controller -> die over the channel first.
@@ -359,8 +413,90 @@ FlashCosmosDrive::submitPageWrite(const ssd::PhysPage &dst,
     st.run = [addr = dst.addr, data = std::move(page)](nand::NandChip &chip) {
         return chip.programPageEsp(addr, data);
     };
-    p.steps.push_back(std::move(st));
-    engine_.submit(std::move(p), stats);
+    submitProgram(r, stepProgram(dst.die, dst.addr.plane, std::move(st)));
+}
+
+engine::OrderedChunkStream::Emit
+FlashCosmosDrive::openSink(RequestState &r, ResultSink &sink,
+                           std::uint64_t pages, std::uint64_t bits)
+{
+    const std::uint64_t page_bits = cfg_.geometry.pageBits();
+    r.sink = &sink;
+    r.pages = pages;
+    sink.begin(StreamShape{pages, page_bits, bits});
+    // Page j is clamped to the vector's tail.
+    return [&sink, page_bits, bits](std::uint64_t j, BitVector page) {
+        fcos_assert(!page.empty(), "column %llu produced no result",
+                    (unsigned long long)j);
+        std::uint64_t begin = j * page_bits;
+        std::uint64_t len = std::min<std::uint64_t>(page_bits, bits - begin);
+        sink.consume(ResultChunk{j, begin, len, page});
+    };
+}
+
+void
+FlashCosmosDrive::submitFallback(RequestState &r, const Expr &expr,
+                                 std::uint64_t pages,
+                                 engine::OrderedChunkStream::Emit use)
+{
+    r.leafPages.resize(pages);
+    r.leafReadsLeft = pages;
+    r.onLeavesRead = [&r, expr, use = std::move(use)] {
+        for (std::size_t j = 0; j < r.leafPages.size(); ++j) {
+            use(j, expr.evaluate([&](VectorId id) -> const BitVector & {
+                return r.leafPages[j].at(id);
+            }));
+        }
+    };
+    const std::vector<VectorId> leaves = expr.leafIds();
+    for (std::size_t j = 0; j < pages; ++j) {
+        engine::ColumnProgram prog = columnProgram(expr, j);
+        prog.readOutResult = false;
+        // Serial page reads, each crossing the channel to the
+        // controller; inverse-mode reads of inverse-stored vectors
+        // recover logical values directly.
+        for (VectorId id : leaves) {
+            prog.steps.push_back(engine::ColumnStep{
+                engine::StepKind::PageRead,
+                [a = pageAt(info(id), j).addr, inv = info(id).inverted, id,
+                 values = &r.leafPages[j]](nand::NandChip &chip) {
+                    nand::OpResult res = chip.readPage(a, inv);
+                    (*values)[id] = chip.dataOut(a.plane);
+                    return res;
+                },
+                /*dmaAfterBytes=*/cfg_.geometry.pageBytes, 0});
+        }
+        prog.onComplete = [&r] {
+            if (--r.leafReadsLeft == 0)
+                r.onLeavesRead();
+        };
+        submitProgram(r, std::move(prog));
+    }
+}
+
+FlashCosmosDrive::Operands
+FlashCosmosDrive::prepare(const Expr &expr, const char *op,
+                          ReadStats *stats) const
+{
+    Operands o;
+    o.leaves = expr.leafIds();
+    fcos_assert(!o.leaves.empty(), "%s of constant expression", op);
+    o.bits = info(o.leaves[0]).bits;
+    o.pages = info(o.leaves[0]).pages.size();
+    for (VectorId id : o.leaves) {
+        fcos_assert(info(id).bits == o.bits,
+                    "%s operands must have equal sizes", op);
+        fcos_assert(info(id).pages.size() == o.pages, "page count mismatch");
+    }
+    o.plan = planner_.plan(expr);
+    if (stats) {
+        stats->planKind = o.plan.kind;
+        stats->planText = o.plan.toString();
+    }
+    if (o.plan.kind == MwsPlan::Kind::Fallback)
+        fcos_warn("%s falling back to serial reads: %s", op,
+                  o.plan.fallbackReason.c_str());
+    return o;
 }
 
 // --------------------------------------------------------------------------
@@ -388,53 +524,17 @@ FlashCosmosDrive::submitWrite(const BitVector &data,
 {
     fcos_assert(!data.empty(), "fcWrite of empty vector");
     const std::uint64_t page_bits = cfg_.geometry.pageBits();
-    const std::uint64_t pages =
-        (data.size() + page_bits - 1) / page_bits;
-
-    if (opts.replaces != kNoVector)
-        trimVector(opts.replaces);
-    VectorInfo v = makeVector(data.size(), opts.group, opts.storeInverted,
-                              pages, opts.homeColumn);
-
-    // The payload is sliced into page images now, at submit: the host
-    // hands the data over with the request, so the caller's buffer may
-    // die before admission.
-    auto images = std::make_shared<std::vector<nand::PageImage>>();
-    images->reserve(pages);
-    for (std::uint64_t j = 0; j < pages; ++j) {
-        std::uint64_t begin = j * page_bits;
-        std::uint64_t len =
-            std::min<std::uint64_t>(page_bits, data.size() - begin);
-        BitVector page(page_bits, false);
-        page.paste(0, data.slice(begin, len));
-        if (v.inverted)
-            page.invert();
-        images->push_back(nand::PageImage::dense(std::move(page)));
-    }
-
-    std::vector<ssd::PhysPage> page_list = resolvePages(v.pages);
-    std::vector<std::uint64_t> write_keys = blockKeysOf(page_list);
-    const VectorId id = allocVectorId(std::move(v));
-
-    RequestId rid = rq_.submit(
-        engine::RequestClass::Write, arrivalTime(ro), {},
-        std::move(write_keys),
-        [this, images,
-         page_list = std::move(page_list)](RequestId req) {
-            for (std::size_t j = 0; j < page_list.size(); ++j) {
-                rq_.addWork(req);
-                submitPageWrite(page_list[j], std::move((*images)[j]),
-                                nullptr,
-                                [this, req] { rq_.workDone(req); });
-            }
+    return submitPages(
+        data.size(), (data.size() + page_bits - 1) / page_bits,
+        [&data, page_bits](std::uint64_t j) {
+            const std::uint64_t begin = j * page_bits;
+            BitVector page(page_bits, false);
+            page.paste(0, data.slice(begin, std::min<std::uint64_t>(
+                                                page_bits,
+                                                data.size() - begin)));
+            return nand::PageImage::dense(std::move(page));
         },
-        [this, hook = ro.onOutcome](
-            const engine::RequestQueue::Outcome &oc) {
-            noteRequest("fcWrite", oc.admitted, oc.completed);
-            if (hook)
-                hook(oc);
-        });
-    return Submitted{rid, id};
+        opts, ro);
 }
 
 FlashCosmosDrive::Submitted
@@ -445,41 +545,43 @@ FlashCosmosDrive::submitWritePages(
 {
     fcos_assert(gen != nullptr, "fcWritePages without a generator");
     fcos_assert(pages >= 1, "fcWritePages of empty vector");
+    return submitPages(pages * cfg_.geometry.pageBits(), pages, gen, opts,
+                       ro);
+}
+
+FlashCosmosDrive::Submitted
+FlashCosmosDrive::submitPages(
+    std::size_t bits, std::uint64_t pages,
+    const std::function<nand::PageImage(std::uint64_t)> &gen,
+    const WriteOptions &opts, const RequestOptions &ro)
+{
     if (opts.replaces != kNoVector)
         trimVector(opts.replaces);
-    VectorInfo v = makeVector(pages * cfg_.geometry.pageBits(), opts.group,
-                              opts.storeInverted, pages, opts.homeColumn);
+    VectorInfo v = makeVector(bits, opts.group, opts.storeInverted, pages,
+                              opts.homeColumn);
 
-    // Generator runs host-side at submit, in page order (its call
-    // sequence is part of the reproducibility contract).
-    auto images = std::make_shared<std::vector<nand::PageImage>>();
-    images->reserve(pages);
+    // Images are built now, at submit: the host hands the data over
+    // with the request, so the caller's buffer may die before
+    // admission. The generator runs in page order (its call sequence
+    // is part of the reproducibility contract).
+    std::vector<nand::PageImage> images;
+    images.reserve(pages);
     for (std::uint64_t j = 0; j < pages; ++j) {
         nand::PageImage img = gen(j);
-        images->push_back(v.inverted ? img.inverted() : std::move(img));
+        images.push_back(v.inverted ? img.inverted() : std::move(img));
     }
 
     std::vector<ssd::PhysPage> page_list = resolvePages(v.pages);
     std::vector<std::uint64_t> write_keys = blockKeysOf(page_list);
     const VectorId id = allocVectorId(std::move(v));
 
-    RequestId rid = rq_.submit(
-        engine::RequestClass::Write, arrivalTime(ro), {},
-        std::move(write_keys),
-        [this, images,
-         page_list = std::move(page_list)](RequestId req) {
-            for (std::size_t j = 0; j < page_list.size(); ++j) {
-                rq_.addWork(req);
-                submitPageWrite(page_list[j], std::move((*images)[j]),
-                                nullptr,
-                                [this, req] { rq_.workDone(req); });
-            }
-        },
-        [this, hook = ro.onOutcome](
-            const engine::RequestQueue::Outcome &oc) {
-            noteRequest("fcWrite", oc.admitted, oc.completed);
-            if (hook)
-                hook(oc);
+    const RequestId rid = submitRequest(
+        engine::RequestClass::Write, "fcWrite", {}, std::move(write_keys),
+        nullptr, ro,
+        [this, images = std::move(images),
+         page_list = std::move(page_list)](RequestState &r) mutable {
+            for (std::size_t j = 0; j < page_list.size(); ++j)
+                submitPageWrite(r, page_list[j], std::move(images[j]));
         });
     return Submitted{rid, id};
 }
@@ -516,23 +618,13 @@ FlashCosmosDrive::submitReplicate(VectorId src, std::uint64_t pages,
     std::vector<std::uint64_t> write_keys = blockKeysOf(dst_pages);
     const VectorId id = allocVectorId(std::move(v));
 
-    auto job = std::make_shared<OpJob>();
-    RequestId rid = rq_.submit(
-        engine::RequestClass::Write, arrivalTime(ro),
-        blockKeysOf({src_page}), std::move(write_keys),
-        [this, job, src_page, targets = std::move(targets)](RequestId req) {
-            for (std::size_t j = 0; j < targets.size(); ++j)
-                rq_.addWork(req);
+    const RequestId rid = submitRequest(
+        engine::RequestClass::Write, "fcReplicate", blockKeysOf({src_page}),
+        std::move(write_keys), stats, ro,
+        [this, src_page, targets = std::move(targets)](RequestState &r) {
             engine_.broadcastPage(src_page.die, src_page.addr, targets,
-                                  nand::EspParams{}, &job->os,
-                                  [this, req] { rq_.workDone(req); });
-        },
-        [this, job, stats, hook = ro.onOutcome](
-            const engine::RequestQueue::Outcome &oc) {
-            mergeStats(stats, job->os, oc.completed - oc.admitted);
-            noteRequest("fcReplicate", oc.admitted, oc.completed);
-            if (hook)
-                hook(oc);
+                                  nand::EspParams{}, r.counters(),
+                                  addWork(r, targets.size()));
         });
     return Submitted{rid, id};
 }
@@ -545,42 +637,18 @@ FlashCosmosDrive::submitStreamedRead(
     std::function<engine::ColumnProgram(std::size_t)> make_program,
     const RequestOptions &ro)
 {
-    auto job = std::make_shared<StreamJob>();
-    ResultSink *sink_p = &sink;
-    const std::uint64_t page_bits = cfg_.geometry.pageBits();
-    return rq_.submit(
-        engine::RequestClass::Read, arrivalTime(ro),
-        std::move(read_keys), {},
-        [this, job, sink_p, pages, bits, page_bits,
-         make_program = std::move(make_program)](RequestId req) {
-            sink_p->begin(StreamShape{pages, page_bits, bits});
-            job->stream = std::make_unique<engine::OrderedChunkStream>(
-                pages, sinkEmitter(*sink_p, page_bits, bits));
+    return submitRequest(
+        engine::RequestClass::Read, name, std::move(read_keys), {}, stats,
+        ro,
+        [this, &sink, pages, bits,
+         make_program = std::move(make_program)](RequestState &r) {
+            r.stream = std::make_unique<engine::OrderedChunkStream>(
+                pages, openSink(r, sink, pages, bits));
             for (std::size_t j = 0; j < pages; ++j) {
                 engine::ColumnProgram prog = make_program(j);
-                prog.resultAtCapture = true;
-                prog.onResult = job->stream->handler(j);
-                prog.onComplete = [this, req] { rq_.workDone(req); };
-                rq_.addWork(req);
-                engine_.submit(std::move(prog), &job->os);
+                prog.onResult = r.stream->handler(j);
+                submitProgram(r, std::move(prog));
             }
-        },
-        [this, job, sink_p, stats, pages, name,
-         hook = ro.onOutcome](const engine::RequestQueue::Outcome &oc) {
-            fcos_assert(job->stream->complete(),
-                        "streamed %s lost pages", name);
-            mergeStats(stats, job->os, oc.completed - oc.admitted);
-            noteRequest(name, oc.admitted, oc.completed);
-            if (stats) {
-                stats->resultPages += pages;
-                stats->streamChunks += pages;
-                stats->streamPeakPages = std::max<std::uint64_t>(
-                    stats->streamPeakPages,
-                    job->stream->peakBufferedPages());
-            }
-            sink_p->end();
-            if (hook)
-                hook(oc);
         });
 }
 
@@ -588,78 +656,25 @@ engine::RequestId
 FlashCosmosDrive::submitRead(const Expr &expr, ResultSink &sink,
                              ReadStats *stats, const RequestOptions &ro)
 {
-    std::vector<VectorId> leaves = expr.leafIds();
-    fcos_assert(!leaves.empty(), "fcRead of constant expression");
-    std::size_t bits = info(leaves[0]).bits;
-    std::size_t pages = info(leaves[0]).pages.size();
-    for (VectorId id : leaves) {
-        fcos_assert(info(id).bits == bits,
-                    "fcRead operands must have equal sizes");
-        fcos_assert(info(id).pages.size() == pages, "page count mismatch");
-    }
-
-    MwsPlan plan = planner_.plan(expr);
-    if (stats) {
-        stats->planKind = plan.kind;
-        stats->planText = plan.toString();
-    }
-
-    if (plan.kind != MwsPlan::Kind::Fallback) {
+    Operands o = prepare(expr, "fcRead", stats);
+    if (o.plan.kind != MwsPlan::Kind::Fallback) {
         return submitStreamedRead(
-            "fcRead", pages, bits, readKeysOf(leaves), sink, stats,
-            [this, plan = std::move(plan), expr](std::size_t j) {
+            "fcRead", o.pages, o.bits, readKeysOf(o.leaves), sink, stats,
+            [this, plan = std::move(o.plan), expr](std::size_t j) {
                 return planProgram(plan, expr, j);
             },
             ro);
     }
-
-    fcos_warn("fcRead falling back to serial reads: %s",
-              plan.fallbackReason.c_str());
     // The fallback reads every leaf page to the controller and
-    // evaluates there at completion, so it inherently buffers every
-    // leaf page; the evaluated pages stream in order and the dense
-    // peak is reported honestly.
-    auto job = std::make_shared<FallbackJob>();
-    ResultSink *sink_p = &sink;
-    const std::uint64_t page_bits = cfg_.geometry.pageBits();
-    return rq_.submit(
-        engine::RequestClass::Read, arrivalTime(ro), readKeysOf(leaves),
-        {},
-        [this, job, sink_p, expr, pages, bits,
-         page_bits](RequestId req) {
-            sink_p->begin(StreamShape{pages, page_bits, bits});
-            job->vals.reserve(pages);
-            for (std::size_t j = 0; j < pages; ++j) {
-                job->vals.push_back(
-                    std::make_shared<std::map<VectorId, BitVector>>());
-                engine::ColumnProgram prog =
-                    fallbackProgram(expr, j, job->vals[j]);
-                prog.onComplete = [this, req] { rq_.workDone(req); };
-                rq_.addWork(req);
-                engine_.submit(std::move(prog), &job->os);
-            }
-        },
-        [this, job, sink_p, expr, stats, pages, bits, page_bits,
-         hook = ro.onOutcome](const engine::RequestQueue::Outcome &oc) {
-            engine::OrderedChunkStream::Emit emit =
-                sinkEmitter(*sink_p, page_bits, bits);
-            for (std::size_t j = 0; j < pages; ++j) {
-                emit(j, expr.evaluate(
-                            [&](VectorId id) -> const BitVector & {
-                                return job->vals[j]->at(id);
-                            }));
-            }
-            mergeStats(stats, job->os, oc.completed - oc.admitted);
-            noteRequest("fcRead", oc.admitted, oc.completed);
-            if (stats) {
-                stats->resultPages += pages;
-                stats->streamChunks += pages;
-                stats->streamPeakPages = std::max<std::uint64_t>(
-                    stats->streamPeakPages, pages);
-            }
-            sink_p->end();
-            if (hook)
-                hook(oc);
+    // evaluates there once the last one lands, so it inherently
+    // buffers every leaf page; the evaluated pages stream in order and
+    // the dense peak is reported honestly.
+    return submitRequest(
+        engine::RequestClass::Read, "fcRead", readKeysOf(o.leaves), {},
+        stats, ro,
+        [this, &sink, expr, pages = o.pages,
+         bits = o.bits](RequestState &r) {
+            submitFallback(r, expr, pages, openSink(r, sink, pages, bits));
         });
 }
 
@@ -676,15 +691,14 @@ FlashCosmosDrive::submitReadVector(VectorId id, ResultSink &sink,
         stats,
         [page_list = std::move(page_list), inv = v.inverted](std::size_t j) {
             const ssd::PhysPage &p = page_list[j];
-            engine::ColumnProgram prog;
-            prog.die = p.die;
-            prog.plane = p.addr.plane;
-            prog.steps.push_back(engine::ColumnStep{
-                engine::StepKind::PageRead,
-                [a = p.addr, inv](nand::NandChip &chip) {
-                    return chip.readPage(a, inv);
-                },
-                0, 0});
+            engine::ColumnProgram prog = stepProgram(
+                p.die, p.addr.plane,
+                {engine::StepKind::PageRead,
+                 [a = p.addr, inv](nand::NandChip &chip) {
+                     return chip.readPage(a, inv);
+                 },
+                 0, 0});
+            prog.readOutResult = true;
             return prog;
         },
         ro);
@@ -694,101 +708,43 @@ FlashCosmosDrive::Submitted
 FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
                                 ReadStats *stats, const RequestOptions &ro)
 {
-    std::vector<VectorId> leaves = expr.leafIds();
-    fcos_assert(!leaves.empty(), "fcCompute of constant expression");
-    std::size_t bits = info(leaves[0]).bits;
-    std::size_t pages = info(leaves[0]).pages.size();
-    for (VectorId id : leaves) {
-        fcos_assert(info(id).bits == bits,
-                    "fcCompute operands must have equal sizes");
-        fcos_assert(info(id).pages.size() == pages,
-                    "page count mismatch");
-    }
-
     // Inverted storage computes the complement into the latch.
     Expr stored_expr = opts.storeInverted ? Expr::Not(expr) : expr;
-    MwsPlan plan = planner_.plan(stored_expr);
-    if (stats) {
-        stats->planKind = plan.kind;
-        stats->planText = plan.toString();
-    }
+    Operands o = prepare(stored_expr, "fcCompute", stats);
 
     if (opts.replaces != kNoVector)
         trimVector(opts.replaces);
     // Keys resolve after makeVector (which may run GC and relocate
     // operands); once submitted, they pin every touched block.
-    VectorInfo v = makeVector(bits, opts.group, opts.storeInverted, pages,
-                              opts.homeColumn);
+    VectorInfo v = makeVector(o.bits, opts.group, opts.storeInverted,
+                              o.pages, opts.homeColumn);
     std::vector<ssd::PhysPage> page_list = resolvePages(v.pages);
-    std::vector<std::uint64_t> read_keys = readKeysOf(leaves);
+    std::vector<std::uint64_t> read_keys = readKeysOf(o.leaves);
     std::vector<std::uint64_t> write_keys = blockKeysOf(page_list);
     const VectorId id = allocVectorId(std::move(v));
 
-    RequestId rid = 0;
-    if (plan.kind == MwsPlan::Kind::Fallback) {
-        // Compute controller-side, then write the pages normally: the
-        // leaf reads are stage one; the instant the last one lands,
-        // the continuation evaluates and submits the page programs as
-        // stage two (registered before the final workDone, so the
-        // request stays open across the stage boundary).
-        fcos_warn("fcCompute falling back to serial reads: %s",
-                  plan.fallbackReason.c_str());
-        auto job = std::make_shared<FallbackJob>();
-        rid = rq_.submit(
-            engine::RequestClass::Compute, arrivalTime(ro),
-            std::move(read_keys), std::move(write_keys),
-            [this, job, stored_expr, pages,
-             page_list = std::move(page_list)](RequestId req) {
-                job->vals.reserve(pages);
-                job->leafReadsLeft = pages;
-                for (std::size_t j = 0; j < pages; ++j) {
-                    job->vals.push_back(std::make_shared<
-                                        std::map<VectorId, BitVector>>());
-                    engine::ColumnProgram prog =
-                        fallbackProgram(stored_expr, j, job->vals[j]);
-                    prog.onComplete = [this, req, job, stored_expr,
-                                       page_list] {
-                        if (--job->leafReadsLeft == 0) {
-                            for (std::size_t k = 0;
-                                 k < page_list.size(); ++k) {
-                                BitVector out = stored_expr.evaluate(
-                                    [&](VectorId vid)
-                                        -> const BitVector & {
-                                        return job->vals[k]->at(vid);
-                                    });
-                                rq_.addWork(req);
-                                submitPageWrite(
-                                    page_list[k],
-                                    nand::PageImage::dense(
-                                        std::move(out)),
-                                    &job->os, [this, req] {
-                                        rq_.workDone(req);
-                                    });
-                            }
-                        }
-                        rq_.workDone(req);
-                    };
-                    rq_.addWork(req);
-                    engine_.submit(std::move(prog), &job->os);
-                }
-            },
-            [this, job, stats, hook = ro.onOutcome](
-                const engine::RequestQueue::Outcome &oc) {
-                mergeStats(stats, job->os, oc.completed - oc.admitted);
-                noteRequest("fcCompute", oc.admitted, oc.completed);
-                if (hook)
-                    hook(oc);
-            });
-        return Submitted{rid, id};
-    }
-
-    auto job = std::make_shared<OpJob>();
-    rid = rq_.submit(
-        engine::RequestClass::Compute, arrivalTime(ro),
-        std::move(read_keys), std::move(write_keys),
-        [this, job, plan = std::move(plan), stored_expr, pages,
-         page_list = std::move(page_list)](RequestId req) {
-            for (std::size_t j = 0; j < pages; ++j) {
+    const RequestId rid = submitRequest(
+        engine::RequestClass::Compute, "fcCompute", std::move(read_keys),
+        std::move(write_keys), stats, ro,
+        [this, plan = std::move(o.plan), stored_expr,
+         page_list = std::move(page_list)](RequestState &r) mutable {
+            if (plan.kind == MwsPlan::Kind::Fallback) {
+                // Compute controller-side, then write the pages
+                // normally: the leaf reads are stage one; the instant
+                // the last one lands, the evaluated pages' programs
+                // are submitted as stage two.
+                const std::uint64_t pages = page_list.size();
+                submitFallback(
+                    r, stored_expr, pages,
+                    [this, &r, page_list = std::move(page_list)](
+                        std::uint64_t j, BitVector out) {
+                        submitPageWrite(
+                            r, page_list[j],
+                            nand::PageImage::dense(std::move(out)));
+                    });
+                return;
+            }
+            for (std::size_t j = 0; j < page_list.size(); ++j) {
                 engine::ColumnProgram prog =
                     planProgram(plan, stored_expr, j);
                 const ssd::PhysPage &dst = page_list[j];
@@ -805,17 +761,8 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
                         return chip.programFromCache(addr);
                     },
                     0, 0});
-                prog.onComplete = [this, req] { rq_.workDone(req); };
-                rq_.addWork(req);
-                engine_.submit(std::move(prog), &job->os);
+                submitProgram(r, std::move(prog));
             }
-        },
-        [this, job, stats, hook = ro.onOutcome](
-            const engine::RequestQueue::Outcome &oc) {
-            mergeStats(stats, job->os, oc.completed - oc.admitted);
-            noteRequest("fcCompute", oc.admitted, oc.completed);
-            if (hook)
-                hook(oc);
         });
     return Submitted{rid, id};
 }
@@ -827,9 +774,7 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
 VectorId
 FlashCosmosDrive::fcWrite(const BitVector &data, const WriteOptions &opts)
 {
-    Submitted s = submitWrite(data, opts);
-    waitAll();
-    return s.vector;
+    return settle(submitWrite(data, opts));
 }
 
 VectorId
@@ -837,18 +782,14 @@ FlashCosmosDrive::fcWritePages(
     const std::function<nand::PageImage(std::uint64_t)> &gen,
     std::uint64_t pages, const WriteOptions &opts)
 {
-    Submitted s = submitWritePages(gen, pages, opts);
-    waitAll();
-    return s.vector;
+    return settle(submitWritePages(gen, pages, opts));
 }
 
 VectorId
 FlashCosmosDrive::fcReplicate(VectorId src, std::uint64_t pages,
                               const WriteOptions &opts, ReadStats *stats)
 {
-    Submitted s = submitReplicate(src, pages, opts, stats);
-    waitAll();
-    return s.vector;
+    return settle(submitReplicate(src, pages, opts, stats));
 }
 
 MwsPlan
@@ -877,9 +818,7 @@ VectorId
 FlashCosmosDrive::fcCompute(const Expr &expr, const WriteOptions &opts,
                             ReadStats *stats)
 {
-    Submitted s = submitCompute(expr, opts, stats);
-    waitAll();
-    return s.vector;
+    return settle(submitCompute(expr, opts, stats));
 }
 
 void
@@ -899,50 +838,12 @@ FlashCosmosDrive::readVector(VectorId id, ReadStats *stats)
 }
 
 // --------------------------------------------------------------------------
-// Observability and program construction
+// Program construction
 // --------------------------------------------------------------------------
 
-void
-FlashCosmosDrive::noteRequest(const char *name, Time begin, Time end)
-{
-    if (obs::traceLive(trace_epoch_)) {
-        // Serial traffic records B/E spans — byte-identical to the
-        // historical one-request-at-a-time trace. A request window
-        // overlapping the previous one on the track records as an X
-        // overlay instead (Perfetto orders X events by timestamp
-        // itself, so completion-order recording is safe).
-        if (begin >= req_last_end_)
-            obs::trace().span(req_track_, name, begin, end);
-        else
-            obs::trace().overlay(req_track_, name, begin, end);
-        req_last_end_ = std::max(req_last_end_, end);
-    }
-    if (obs::metricsLive(m_epoch_)) {
-        obs::metrics()
-            .histogram(std::string("drive.latency.") + name)
-            .record(end - begin);
-    }
-}
-
-void
-FlashCosmosDrive::mergeStats(ReadStats *stats, const engine::OpStats &os,
-                             Time makespan)
-{
-    if (!stats)
-        return;
-    stats->mwsCommands += os.mwsCommands;
-    stats->senses += os.senses;
-    stats->latchXors += os.latchXors;
-    stats->pageReads += os.pageReads;
-    stats->nandTime += os.nandTime;
-    stats->nandEnergyJ += os.nandEnergyJ;
-    stats->makespan += makespan;
-}
-
-void
-FlashCosmosDrive::columnLocation(const Expr &expr, std::size_t page_index,
-                                 std::uint32_t *die,
-                                 std::uint32_t *plane) const
+engine::ColumnProgram
+FlashCosmosDrive::columnProgram(const Expr &expr,
+                                std::size_t page_index) const
 {
     std::vector<VectorId> leaves = expr.leafIds();
     fcos_assert(!leaves.empty(), "expression with no leaves");
@@ -953,21 +854,18 @@ FlashCosmosDrive::columnLocation(const Expr &expr, std::size_t page_index,
                         p.addr.plane == first.addr.plane,
                     "operands of one expression must stripe identically");
     }
-    *die = first.die;
-    *plane = first.addr.plane;
+    engine::ColumnProgram prog;
+    prog.die = first.die;
+    prog.plane = first.addr.plane;
+    return prog;
 }
 
 engine::ColumnProgram
 FlashCosmosDrive::planProgram(const MwsPlan &plan, const Expr &expr,
                               std::size_t page_index) const
 {
-    std::uint32_t die = 0, plane = 0;
-    columnLocation(expr, page_index, &die, &plane);
-
-    engine::ColumnProgram prog;
-    prog.die = die;
-    prog.plane = plane;
-
+    engine::ColumnProgram prog = columnProgram(expr, page_index);
+    const std::uint32_t die = prog.die, plane = prog.plane;
     std::uint32_t column = die * cfg_.geometry.planesPerDie + plane;
     fcos_assert(erased_ref_[column].die == die, "erased ref layout");
 
@@ -1005,38 +903,6 @@ FlashCosmosDrive::planProgram(const MwsPlan &plan, const Expr &expr,
             0, 0});
     }
 
-    return prog;
-}
-
-engine::ColumnProgram
-FlashCosmosDrive::fallbackProgram(
-    const Expr &expr, std::size_t page_index,
-    std::shared_ptr<std::map<VectorId, BitVector>> values) const
-{
-    std::uint32_t die = 0, plane = 0;
-    columnLocation(expr, page_index, &die, &plane);
-
-    engine::ColumnProgram prog;
-    prog.die = die;
-    prog.plane = plane;
-    prog.readOutResult = false;
-
-    // Serial page reads; every page crosses the channel to the
-    // controller, which evaluates the expression at the request's
-    // completion. Reads use inverse mode for inverse-stored vectors,
-    // recovering logical values directly.
-    for (VectorId id : expr.leafIds()) {
-        const nand::WordlineAddr a = pageAt(info(id), page_index).addr;
-        prog.steps.push_back(engine::ColumnStep{
-            engine::StepKind::PageRead,
-            [a, inv = info(id).inverted, id, values,
-             plane](nand::NandChip &chip) {
-                nand::OpResult r = chip.readPage(a, inv);
-                (*values)[id] = chip.dataOut(plane);
-                return r;
-            },
-            /*dmaAfterBytes=*/cfg_.geometry.pageBytes, 0});
-    }
     return prog;
 }
 

@@ -32,7 +32,6 @@
 #define FCOS_CORE_DRIVE_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -44,6 +43,7 @@
 #include "core/result_sink.h"
 #include "engine/admission.h"
 #include "engine/engine.h"
+#include "engine/result_stream.h"
 #include "nand/chip.h"
 #include "ssd/config.h"
 #include "ssd/ftl.h"
@@ -103,13 +103,6 @@ class FlashCosmosDrive : public StorageResolver
      *  (nand::EspParams). */
     struct Config : ssd::SsdConfig
     {
-        /** Non-empty: enable the span tracer and write a Chrome
-         *  trace_event JSON timeline here at process exit (same effect
-         *  as FCOS_TRACE=<file>). */
-        std::string traceFile;
-        /** Non-empty: enable the metrics registry and write the
-         *  end-of-run report here (same as FCOS_METRICS=<file>). */
-        std::string metricsFile;
         /** Request-queue admission: the window of concurrently
          *  in-flight requests (submit* overlaps up to depth
          *  conflict-free requests; the sync fc* wrappers never hold
@@ -394,6 +387,13 @@ class FlashCosmosDrive : public StorageResolver
 
     const VectorInfo &info(VectorId id) const;
 
+    /** Wait for a submitted write-like request: the sync fc* calls. */
+    VectorId settle(Submitted s)
+    {
+        waitAll();
+        return s.vector;
+    }
+
     /** Physical address of logical page @p j of a vector. */
     ssd::PhysPage pageAt(const VectorInfo &v, std::size_t j) const
     {
@@ -429,56 +429,89 @@ class FlashCosmosDrive : public StorageResolver
                                       const Expr &expr,
                                       std::size_t page_index) const;
 
-    /** Column program for the serial-read fallback: reads every leaf
-     *  page to the controller, capturing values into @p values. */
-    engine::ColumnProgram fallbackProgram(
-        const Expr &expr, std::size_t page_index,
-        std::shared_ptr<std::map<VectorId, BitVector>> values) const;
+    /** Empty program on page column @p page_index's (die, plane);
+     *  asserts the operands are co-located there. */
+    engine::ColumnProgram columnProgram(const Expr &expr,
+                                        std::size_t page_index) const;
 
-    /** Resolve (die, plane) of a page column; asserts co-location. */
-    void columnLocation(const Expr &expr, std::size_t page_index,
-                        std::uint32_t *die, std::uint32_t *plane) const;
-
-    /** Submit one page-program write (data-in over the channel);
-     *  @p done fires at the program's simulated completion. */
-    void submitPageWrite(const ssd::PhysPage &dst, nand::PageImage page,
-                         engine::OpStats *stats,
-                         std::function<void()> done = {});
-
-    /** Merge engine counters into @p stats (except resultPages). */
-    static void mergeStats(ReadStats *stats, const engine::OpStats &os,
-                           Time makespan);
-
-    /** Block-grained conflict keys ((die, plane, block) packed) of a
-     *  page set, sorted and deduped. */
+    /** Block-grained conflict keys (ssd::Ftl::blockKey) of a page set,
+     *  one per page (the request queue sorts and dedupes them). */
     std::vector<std::uint64_t>
     blockKeysOf(const std::vector<ssd::PhysPage> &pages) const;
 
-    /** Union of blockKeysOf over every leaf vector of @p leaves. */
+    /** blockKeysOf over every page of every vector of @p leaves. */
     std::vector<std::uint64_t>
     readKeysOf(const std::vector<VectorId> &leaves) const;
 
-    /** Clamp a requested arrival to the engine clock. */
-    Time arrivalTime(const RequestOptions &ro) const;
+    // The request helper: every request goes through submitRequest,
+    // counts its engine work with addWork and ends in finishRequest.
 
-    /** Streamed-read request core shared by submitRead (planned
-     *  paths) and submitReadVector: per-request OpStats + ordered
-     *  chunk stream, one engine program per page column from
-     *  @p make_program, completion finalizing stats and the sink. */
+    struct RequestState;
+
+    /** Queue a request; at admission @p start submits its engine work
+     *  against the request's state. @p name must be a literal. */
+    template <typename Start>
+    RequestId submitRequest(engine::RequestClass cls, const char *name,
+                            std::vector<std::uint64_t> read_keys,
+                            std::vector<std::uint64_t> write_keys,
+                            ReadStats *stats, const RequestOptions &ro,
+                            Start start);
+
+    /** Register @p units of @p r's work; the callback retires one. */
+    std::function<void()> addWork(RequestState &r, std::size_t units);
+
+    /** Stream finalize, stats merge, request window, onOutcome. */
+    void finishRequest(RequestState &r,
+                       const engine::RequestQueue::Outcome &oc);
+
+    /** Submit @p prog as one unit of @p r's work, retired after the
+     *  program's own onComplete (if any). */
+    void submitProgram(RequestState &r, engine::ColumnProgram prog);
+
+    /** Submit one page-program write (data-in over the channel). */
+    void submitPageWrite(RequestState &r, const ssd::PhysPage &dst,
+                         nand::PageImage page);
+
+    /** Begin @p sink's result stream; @return its page emitter. */
+    engine::OrderedChunkStream::Emit openSink(RequestState &r,
+                                              ResultSink &sink,
+                                              std::uint64_t pages,
+                                              std::uint64_t bits);
+
+    /** The serial-read fallback of fcRead and fcCompute: read every
+     *  leaf page to the controller; once the last column lands, hand
+     *  each column's evaluated page to @p use, in page order. */
+    void submitFallback(RequestState &r, const Expr &expr,
+                        std::uint64_t pages,
+                        engine::OrderedChunkStream::Emit use);
+
+    /** Operand shape and plan of an fcRead/fcCompute expression:
+     *  prepare() asserts a non-constant expression over operands of
+     *  equal bits and page counts, and notes the plan in @p stats. */
+    struct Operands
+    {
+        std::vector<VectorId> leaves;
+        std::size_t bits = 0;
+        std::size_t pages = 0;
+        MwsPlan plan;
+    };
+    Operands prepare(const Expr &expr, const char *op,
+                     ReadStats *stats) const;
+
+    /** Write path of submitWrite and submitWritePages. */
+    Submitted
+    submitPages(std::size_t bits, std::uint64_t pages,
+                const std::function<nand::PageImage(std::uint64_t)> &gen,
+                const WriteOptions &opts, const RequestOptions &ro);
+
+    /** Planned fcRead and readVector: one program per page column,
+     *  results re-ordered into @p sink. */
     RequestId submitStreamedRead(
         const char *name, std::size_t pages, std::size_t bits,
         std::vector<std::uint64_t> read_keys, ResultSink &sink,
         ReadStats *stats,
         std::function<engine::ColumnProgram(std::size_t)> make_program,
         const RequestOptions &ro);
-
-    /** Record one drive-level request window [@p begin, @p end] on the
-     *  "requests" trace track and its end-to-end latency histogram
-     *  (@p name must be a string literal). Non-overlapping windows
-     *  render as spans (bit-identical to the historical serial trace);
-     *  a window overlapping the previous one records as an X overlay.
-     *  One branch when obs is off. */
-    void noteRequest(const char *name, Time begin, Time end);
 
     Config cfg_;
     engine::ComputeEngine engine_;
@@ -514,7 +547,7 @@ class FlashCosmosDrive : public StorageResolver
     std::uint64_t m_epoch_ = 0;
     std::uint32_t req_track_ = 0;
     /** Latest request-window end recorded on the track (span vs
-     *  overlay decision; see noteRequest). */
+     *  overlay decision; see finishRequest). */
     Time req_last_end_ = 0;
 };
 

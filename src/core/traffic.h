@@ -7,11 +7,11 @@
  * compute requests (paced with FlashCosmosDrive::advanceTo so the
  * staged-request window stays bounded) and collects per-class
  * end-to-end latency quantiles — simulated arrival-to-completion,
- * queue wait included. The simulated side of every point (quantiles,
- * makespan, energy, payload digest) is bit-deterministic at any
- * worker count; the wall-clock side (requests/second of the host
- * simulator) is measured per run. bench/mixed_traffic prints both,
- * and the golden test pins the deterministic table.
+ * queue wait included. Every point (quantiles, makespan, energy,
+ * payload digest) is bit-deterministic at any worker count;
+ * bench/mixed_traffic prints the table and the golden test pins it.
+ * Host throughput of open-loop serving is fcbench's serve_query
+ * workload.
  */
 
 #ifndef FCOS_CORE_TRAFFIC_H

@@ -12,7 +12,6 @@ energyComponentFor(StepKind kind)
       case StepKind::LatchXor:
         return ssd::EnergyComponent::NandMws;
       case StepKind::PageRead:
-      case StepKind::OrDump:
         return ssd::EnergyComponent::NandRead;
       case StepKind::Program:
       case StepKind::Copyback:
@@ -21,6 +20,35 @@ energyComponentFor(StepKind kind)
         return ssd::EnergyComponent::NandErase;
     }
     return ssd::EnergyComponent::NandRead;
+}
+
+void
+OpStats::tally(StepKind kind, const nand::OpResult &op)
+{
+    nandTime += op.latency;
+    nandEnergyJ += op.energyJ;
+    switch (kind) {
+      case StepKind::Sense:
+        ++mwsCommands;
+        ++senses;
+        break;
+      case StepKind::PageRead:
+        ++senses;
+        ++pageReads;
+        break;
+      case StepKind::LatchXor:
+        ++latchXors;
+        break;
+      case StepKind::Program:
+        ++programs;
+        break;
+      case StepKind::Copyback:
+        ++copybacks;
+        break;
+      case StepKind::Erase:
+        ++erases;
+        break;
+    }
 }
 
 ComputeEngine::ComputeEngine(const ssd::SsdConfig &cfg)
@@ -99,34 +127,15 @@ ComputeEngine::finishProgram(const std::shared_ptr<ColumnProgram> &state,
     BitVector page = farm_.chip(state->die).dataOut(state->plane);
     if (stats)
         ++stats->resultPages;
-    if (state->resultAtCapture) {
-        // Streamed delivery: hand the payload over immediately so no
-        // copy sits inside the DMA closure; the transfer itself still
-        // occupies the channel and books its time and energy.
-        if (state->onResult)
-            state->onResult(std::move(page));
-        scheduler_.submitDma(state->die, farm_.geometry().pageBytes,
-                             [state] {
-                                 if (state->onComplete)
-                                     state->onComplete();
-                             });
-        return;
-    }
-    scheduler_.submitDma(
-        state->die, farm_.geometry().pageBytes,
-        [state, page = std::move(page)]() mutable {
-            if (state->onResult)
-                state->onResult(std::move(page));
-            if (state->onComplete)
-                state->onComplete();
-        });
-}
-
-void
-ComputeEngine::submit(ShardedOp op, OpStats *stats)
-{
-    for (ColumnProgram &p : op.programs())
-        submit(std::move(p), stats);
+    // Hand the payload over now, so no copy sits inside the DMA
+    // closure; the transfer itself still occupies the channel and
+    // books its time and energy.
+    if (state->onResult)
+        state->onResult(std::move(page));
+    scheduler_.submitDma(state->die, farm_.geometry().pageBytes, [state] {
+        if (state->onComplete)
+            state->onComplete();
+    });
 }
 
 void

@@ -77,7 +77,7 @@ scalingReport(const std::vector<ScalingConfig> &configs,
         std::vector<BitVector> expected;
         expected.reserve(static_cast<std::size_t>(cols) *
                          pages_per_column);
-        ShardedOp op;
+        std::vector<ColumnProgram> programs;
         std::vector<BitVector> results(
             static_cast<std::size_t>(cols) * pages_per_column);
         std::vector<bool> arrived(results.size(), false);
@@ -115,12 +115,13 @@ scalingReport(const std::vector<ScalingConfig> &configs,
                     results[slot] = std::move(page);
                     arrived[slot] = true;
                 };
-                op.add(std::move(prog));
+                programs.push_back(std::move(prog));
             }
         }
 
         OpStats stats;
-        eng.submit(std::move(op), &stats);
+        for (ColumnProgram &prog : programs)
+            eng.submit(std::move(prog), &stats);
         Time makespan = eng.drain();
 
         bool exact = true;

@@ -4,8 +4,8 @@
  *
  * A sharded operation's column programs complete in simulated-time
  * order, which is *not* page order: planes race, channels serialize,
- * and with ColumnProgram::resultAtCapture the payload leaves the
- * engine at the sense-completion instant rather than DMA completion.
+ * and the payload leaves the engine at the sense-completion instant
+ * rather than DMA completion (ColumnProgram::onResult).
  * Streaming consumers (core::ResultSink) are promised strictly
  * increasing page indices, so OrderedChunkStream sits between the two:
  * it buffers out-of-order arrivals and flushes the in-order prefix as

@@ -8,8 +8,8 @@
  * Three equivalent paths converge here:
  *  - env knobs `FCOS_TRACE=<file>` / `FCOS_METRICS=<file>` (read once
  *    at startup; files are written at process exit),
- *  - `Config::traceFile` / `Config::metricsFile` on FlashCosmosDrive
- *    (calls enableTrace()/enableMetrics() at construction),
+ *  - enableTrace() / enableMetrics(), which the benches' `--trace=` /
+ *    `--metrics=` flags call before building any component,
  *  - programmatic ScopedCapture for tests and benches that want the
  *    trace/metrics in memory instead of on disk.
  *

@@ -583,7 +583,6 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                 // Payload streams out at latch capture; the readout
                 // DMA and the external/host chunk charges stay on the
                 // timeline exactly where the dense path booked them.
-                prog.resultAtCapture = true;
                 prog.onResult = stream.handler(slot);
                 if (to_host) {
                     prog.onComplete = [&sched, &host, page_bytes,

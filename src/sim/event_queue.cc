@@ -92,14 +92,6 @@ EventQueue::heapIsValid() const
 }
 
 void
-EventQueue::debugCheckHeap() const
-{
-#ifndef NDEBUG
-    fcos_assert(heapIsValid(), "event heap invariant violated");
-#endif
-}
-
-void
 EventQueue::debugCheckPath(std::size_t i) const
 {
 #ifndef NDEBUG
@@ -159,35 +151,6 @@ EventQueue::scheduleSharded(Time when, std::uint32_t shard,
 {
     fcos_assert(shard != kNoShard, "invalid shard id");
     enqueue(when, Event{std::move(commit), std::move(work), shard, cost});
-}
-
-void
-EventQueue::merge(std::vector<std::pair<Time, Callback>> stream)
-{
-    fcos_assert(!in_wave_, "merge during a wave is not supported");
-    // Small streams: ordinary pushes. Large streams: append then one
-    // Floyd heapify pass — O(existing + stream) instead of
-    // O(stream log n) sift-ups.
-    if (stream.size() < 8 || stream.size() < heap_.size() / 4) {
-        for (auto &e : stream)
-            schedule(e.first, std::move(e.second));
-        return;
-    }
-    for (auto &e : stream) {
-        fcos_assert(e.first >= now_,
-                    "merge into the past: %llu < %llu",
-                    (unsigned long long)e.first,
-                    (unsigned long long)now_);
-        heap_.push_back(
-            Key{e.first, next_seq_++, park(Event{std::move(e.second), {}})});
-    }
-    if (heap_.size() > 1) {
-        for (std::size_t i = heap_.size() / 2; i-- > 0;)
-            siftDown(i);
-    }
-    debugCheckHeap();
-    if (obs::metricsLive(obs_epoch_) && heap_.size() > stat_max_depth_)
-        stat_max_depth_ = heap_.size();
 }
 
 // --------------------------------------------------------------------------

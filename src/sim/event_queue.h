@@ -126,16 +126,6 @@ class EventQueue
                          std::uint32_t cost, Callback work,
                          Callback commit);
 
-    /**
-     * Merge a pre-ordered event stream (e.g. generated by one worker)
-     * into the queue: entries receive consecutive seqs in stream order,
-     * so equal-time entries keep their relative order against each
-     * other and go after everything already queued. Large streams are
-     * merged with a linear-time Floyd heapify instead of per-event
-     * sift-ups.
-     */
-    void merge(std::vector<std::pair<Time, Callback>> stream);
-
     /** Execute the earliest event. @return false if the queue is empty. */
     bool runOne();
 
@@ -215,8 +205,6 @@ class EventQueue
     void siftUp(std::size_t i);
     /** @return the heap index the key at @p i came to rest at. */
     std::size_t siftDown(std::size_t i);
-    /** Debug builds: assert heapIsValid() (after a bulk heapify). */
-    void debugCheckHeap() const;
     /** Debug builds: assert the invariant after a sift whose moves
      *  all lie on the path from heap index @p i to the root. */
     void debugCheckPath(std::size_t i) const;

@@ -7,11 +7,7 @@
 namespace fcos::ssd {
 
 Ftl::Ftl(std::uint32_t dies, const nand::Geometry &geom)
-    : Ftl(dies, geom, Config{})
-{}
-
-Ftl::Ftl(std::uint32_t dies, const nand::Geometry &geom, const Config &cfg)
-    : dies_(dies), geom_(geom), cfg_(cfg), columns_(columns())
+    : dies_(dies), geom_(geom), columns_(columns())
 {
     fcos_assert(dies > 0, "FTL needs at least one die");
     fcos_assert(geom_.wordlinesPerSubBlock <= 64,
@@ -250,7 +246,7 @@ Ftl::findVictim(std::uint32_t column,
 bool
 Ftl::gcNeeded(std::uint32_t column) const
 {
-    if (freeBlocks(column) > cfg_.gcReserveBlocks)
+    if (freeBlocks(column) > kGcReserveBlocks)
         return false;
     return findVictim(column, nullptr) != kNoBlock;
 }

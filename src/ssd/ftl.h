@@ -64,16 +64,11 @@ inline constexpr Lpn kNoLpn = ~Lpn{0};
 class Ftl
 {
   public:
-    struct Config
-    {
-        /** GC kicks in when a column's free-block count drops to this
-         *  reserve (erased blocks ready for new sub-block chains). */
-        std::uint32_t gcReserveBlocks = 1;
-    };
+    /** GC kicks in when a column's free-block count drops to this
+     *  reserve (erased blocks ready for new sub-block chains). */
+    static constexpr std::uint32_t kGcReserveBlocks = 1;
 
     Ftl(std::uint32_t dies, const nand::Geometry &geom);
-    Ftl(std::uint32_t dies, const nand::Geometry &geom,
-        const Config &cfg);
 
     std::uint32_t dies() const { return dies_; }
     const nand::Geometry &geometry() const { return geom_; }
@@ -196,8 +191,8 @@ class Ftl
     /** Live page handles drive-wide. */
     std::uint64_t liveCount() const { return live_lpns_; }
 
-    /** Conflict/busy key of a block — the same packing the drive uses
-     *  for request conflict footprints. */
+    /** Conflict/busy key of a block: GC's busy set and the drive's
+     *  request conflict footprints. */
     static std::uint64_t blockKey(std::uint32_t die, std::uint32_t plane,
                                   std::uint32_t block)
     {
@@ -320,7 +315,6 @@ class Ftl
 
     std::uint32_t dies_;
     nand::Geometry geom_;
-    Config cfg_;
     std::vector<Column> columns_;
 
     /** Mapping table: Lpn -> physical page, slots recycled through

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "core/drive.h"
+#include "obs/obs.h"
 #include "tests/support/random_fixture.h"
 
 namespace fcos::core {
@@ -218,6 +219,80 @@ TEST_F(DriveTest, FallbackStillComputesCorrectly)
     EXPECT_EQ(stats.planKind, MwsPlan::Kind::Fallback);
     EXPECT_GT(stats.pageReads, 0u);
     setQuietWarnings(false);
+}
+
+TEST_F(DriveTest, FallbackComputePersistsTheControllerFold)
+{
+    setQuietWarnings(true);
+    // Metrics on so the program count can be read off the registry.
+    obs::ScopedCapture cap(/*trace=*/false, /*metrics=*/true);
+    FlashCosmosDrive drive;
+    // The expression of FallbackStillComputesCorrectly, over 3 pages.
+    FlashCosmosDrive::WriteOptions g1, g2;
+    g1.group = 30;
+    g2.group = 31;
+    const std::uint64_t pages = 3;
+    const std::size_t bits =
+        pages * FlashCosmosDrive::Config{}.geometry.pageBits();
+    std::vector<BitVector> data;
+    std::vector<Expr> a, b;
+    for (int i = 0; i < 10; ++i) {
+        data.push_back(randomVec(bits));
+        a.push_back(Expr::leaf(drive.fcWrite(data.back(), g1)));
+    }
+    for (int i = 0; i < 10; ++i) {
+        data.push_back(randomVec(bits));
+        b.push_back(Expr::leaf(drive.fcWrite(data.back(), g2)));
+    }
+    Expr expr = Expr::Or({Expr::And(a), Expr::And(b)});
+    obs::Histogram &programs =
+        cap.metricsRegistry().histogram("engine.op_latency.nand.program");
+    const std::uint64_t programs_before = programs.count();
+
+    FlashCosmosDrive::ReadStats stats;
+    VectorId out = drive.fcCompute(expr, {}, &stats);
+
+    BitVector ea = data[0];
+    for (int i = 1; i < 10; ++i)
+        ea &= data[i];
+    BitVector eb = data[10];
+    for (int i = 11; i < 20; ++i)
+        eb &= data[i];
+    EXPECT_EQ(stats.planKind, MwsPlan::Kind::Fallback);
+    EXPECT_EQ(stats.pageReads, 20 * pages);
+    EXPECT_EQ(programs.count() - programs_before, pages);
+    EXPECT_EQ(drive.readVector(out), ea | eb);
+    setQuietWarnings(false);
+}
+
+TEST_F(DriveTest, WriteAndWritePagesOfOneVectorMatch)
+{
+    // fcWrite of a vector and fcWritePages of its dense page images
+    // store the same bits on the same timeline and energy ledger.
+    const std::uint64_t page_bits =
+        FlashCosmosDrive::Config{}.geometry.pageBits();
+    const std::uint64_t pages = 5;
+    const BitVector v = randomVec(pages * page_bits);
+    for (bool inverted : {false, true}) {
+        FlashCosmosDrive::WriteOptions opts;
+        opts.storeInverted = inverted;
+        FlashCosmosDrive whole, paged;
+        const VectorId iw = whole.fcWrite(v, opts);
+        const VectorId ip = paged.fcWritePages(
+            [&](std::uint64_t j) {
+                return nand::PageImage::dense(v.slice(j * page_bits,
+                                                      page_bits));
+            },
+            pages, opts);
+        const BitVector bw = whole.readVector(iw);
+        EXPECT_EQ(bw, v) << "inverted " << inverted;
+        EXPECT_EQ(paged.readVector(ip), bw) << "inverted " << inverted;
+        EXPECT_EQ(whole.engine().makespan(), paged.engine().makespan())
+            << "inverted " << inverted;
+        EXPECT_EQ(whole.engine().totalEnergyJ(),
+                  paged.engine().totalEnergyJ())
+            << "inverted " << inverted;
+    }
 }
 
 TEST_F(DriveTest, GroupsRequireEqualSizes)

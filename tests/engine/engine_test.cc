@@ -284,21 +284,6 @@ TEST(ComputeEngineTest, BroadcastSensesOnceAndFansOut)
     EXPECT_LT(broadcast_makespan, serial_makespan);
 }
 
-TEST(ShardedOpTest, PartitionCountsProgramsPerDie)
-{
-    ShardedOp op;
-    for (std::uint32_t die : {0u, 1u, 1u, 3u}) {
-        ColumnProgram p;
-        p.die = die;
-        p.steps.push_back(ColumnStep{
-            StepKind::Sense,
-            [](nand::NandChip &) { return nand::OpResult{}; }, 0, 0});
-        op.add(std::move(p));
-    }
-    EXPECT_EQ(op.partition(4), (std::vector<std::uint32_t>{1, 2, 0, 1}));
-    EXPECT_EQ(op.diesTouched(4), 3u);
-}
-
 } // namespace
 } // namespace fcos::engine
 

@@ -186,30 +186,11 @@ TEST(EventQueueTest, HeapStaysValidUnderChurn)
     EXPECT_EQ(fired, 250);
 }
 
-TEST(EventQueueTest, MergePreservesStreamOrderAndQueueOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(5, [&] { order.push_back(0); });
-    // A large pre-ordered stream (exercises the heapify path) with
-    // equal-time entries: they must run after the already-queued event
-    // at t=5 and keep their relative order.
-    std::vector<std::pair<Time, EventQueue::Callback>> stream;
-    for (int i = 1; i <= 32; ++i)
-        stream.emplace_back(5, [&order, i] { order.push_back(i); });
-    q.merge(std::move(stream));
-    EXPECT_TRUE(q.heapIsValid());
-    q.run();
-    ASSERT_EQ(order.size(), 33u);
-    for (int i = 0; i <= 32; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
 TEST(EventQueueTest, KeyHeapMatchesSortedReferenceUnderChurn)
 {
-    // schedule, runOne, runUntil and both merge paths (per-event pushes
-    // and the Floyd heapify) interleaved at random, so payload slots are
-    // freed and reused many times over. Events must run in (when, seq)
+    // schedule (single events and bursts), runOne and runUntil
+    // interleaved at random, so payload slots are freed and reused many
+    // times over. Events must run in (when, seq)
     // order — seq being the order they were handed to the queue — and
     // the key heap must stay valid with pending() exact after each step.
     EventQueue q;
@@ -226,7 +207,6 @@ TEST(EventQueueTest, KeyHeapMatchesSortedReferenceUnderChurn)
             ref.erase(ref.begin());
         }
     };
-    int floyd_merges = 0;
     for (int step = 0; step < 3000; ++step) {
         const std::uint64_t op = rng.nextBounded(10);
         if (op < 4) {
@@ -245,24 +225,19 @@ TEST(EventQueueTest, KeyHeapMatchesSortedReferenceUnderChurn)
             expectRun(deadline);
             EXPECT_EQ(q.runUntil(deadline), deadline);
         } else {
-            // Streams of 8+ entries at least a quarter of the queue's
-            // size take the Floyd path; shorter ones are pushed.
-            const bool floyd = op == 9 && q.pending() <= 4 * 48;
-            const std::size_t len = floyd ? 48 : 1 + rng.nextBounded(7);
-            floyd_merges += floyd;
-            std::vector<std::pair<Time, EventQueue::Callback>> stream;
+            // A burst grows the slot table past its free list; the
+            // runs above then free those slots for reuse.
+            const std::size_t len = op == 9 ? 48 : 1 + rng.nextBounded(7);
             for (std::size_t i = 0; i < len; ++i) {
                 const Time when = q.now() + rng.nextBounded(40);
                 ref.emplace(when, next_id);
-                stream.emplace_back(when, event(next_id++));
+                q.schedule(when, event(next_id++));
             }
-            q.merge(std::move(stream));
         }
         ASSERT_EQ(ran, want) << "step " << step;
         ASSERT_TRUE(q.heapIsValid()) << "step " << step;
         ASSERT_EQ(q.pending(), ref.size()) << "step " << step;
     }
-    EXPECT_GT(floyd_merges, 10);
     expectRun(kTimeMax);
     q.run();
     EXPECT_EQ(ran, want);
