@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks of the kernels fcbench's layer
  * probes do not time on their own: event-queue throughput, the seeded
- * page-generation and popcount kernels at each ISA level, and BCH
- * coding.
+ * page-generation, popcount and result-digest kernels at each ISA
+ * level, and BCH coding.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +13,7 @@
 #include "reliability/bch.h"
 #include "sim/event_queue.h"
 #include "util/bitvector.h"
+#include "util/fnv.h"
 #include "util/isa.h"
 #include "util/rng.h"
 
@@ -108,6 +109,26 @@ BM_PopcountAtLevel(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()); // pages
 }
 BENCHMARK(BM_PopcountAtLevel)->Arg(0)->Arg(1)->Arg(2);
+
+void
+BM_DigestAtLevel(benchmark::State &state)
+{
+    // fnvBytes over one page of words, as DigestSink folds a full chunk.
+    IsaLevel level;
+    if (!pinIsaLevel(state, level))
+        return;
+    std::vector<std::uint64_t> page(2048);
+    Rng rng(5);
+    rng.fillU64(page.data(), page.size());
+    std::uint64_t h = kFnvOffset;
+    for (auto _ : state) {
+        benchmark::ClobberMemory();
+        h = fnvBytes(h, page.data(), page.size() * 8, level);
+        benchmark::DoNotOptimize(h);
+    }
+    state.SetItemsProcessed(state.iterations()); // pages
+}
+BENCHMARK(BM_DigestAtLevel)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_BchEncode(benchmark::State &state)

@@ -1,5 +1,7 @@
 #include "core/result_sink.h"
 
+#include <bit>
+
 #include "util/log.h"
 
 namespace fcos::core {
@@ -8,7 +10,9 @@ namespace {
 
 /** Fold the valid prefix of @p chunk into @p h: whole words plus a
  *  masked tail word, with the chunk index mixed in first so chunk
- *  order is part of the digest. */
+ *  order is part of the digest. fnvWord() folds a word least
+ *  significant byte first: on a little-endian host that is memory
+ *  order, and the whole words go through fnvBytes() in one call. */
 std::uint64_t
 foldChunk(std::uint64_t h, const ResultChunk &chunk)
 {
@@ -17,8 +21,12 @@ foldChunk(std::uint64_t h, const ResultChunk &chunk)
     std::uint64_t full = chunk.bits / 64;
     fcos_assert(BitVector::wordsFor(chunk.bits) <= words.size(),
                 "chunk shorter than its declared bit count");
-    for (std::uint64_t w = 0; w < full; ++w)
-        h = fnvWord(h, words[w]);
+    if constexpr (std::endian::native == std::endian::little) {
+        h = fnvBytes(h, words.data(), full * sizeof(std::uint64_t));
+    } else {
+        for (std::uint64_t w = 0; w < full; ++w)
+            h = fnvWord(h, words[w]);
+    }
     std::uint64_t tail = chunk.bits % 64;
     if (tail)
         h = fnvWord(h, words[full] & ((1ULL << tail) - 1));

@@ -106,6 +106,8 @@ class ChunkCallbackSink final : public ResultSink
  * of every chunk, with each chunk's index folded in). Two streams have
  * equal digests iff they delivered identical payloads in identical
  * chunk order — the determinism suite's cross-farm-shape certificate.
+ * A chunk's whole words go through fnvBytes() (util/fnv.h), which runs
+ * at the host's vector width and gives the byte loop's bits.
  */
 class DigestSink final : public ResultSink
 {

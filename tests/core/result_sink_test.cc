@@ -89,6 +89,38 @@ TEST(ResultSinkTest, DigestIsOrderAndContentSensitive)
     EXPECT_EQ(d1.digest(), d2.digest());
 }
 
+TEST(ResultSinkTest, DigestOfTable1PagesMatchesAByteLoop)
+{
+    // The digest is FNV-1a over bytes: each chunk's index as 8 bytes,
+    // least significant first, then the chunk's bits in 8-bit groups
+    // (bit i of a byte is result bit 8b + i) up to a whole word, with
+    // the bits past the valid ones read as 0. Checked on a full Table-1
+    // page (131072 bits) and a 131050-bit tail, bit by bit from get().
+    const std::uint64_t page_bits = 131072;
+    const BitVector full = patternVec(page_bits, 11);
+    const BitVector tail = patternVec(page_bits, 12);
+    std::uint64_t want = kFnvOffset;
+    auto fold = [&want](std::uint64_t index, const BitVector &page,
+                        std::uint64_t bits) {
+        for (int i = 0; i < 8; ++i)
+            want = fnvStep(want, (index >> (8 * i)) & 0xFF);
+        const std::uint64_t bytes = (bits + 63) / 64 * 8;
+        for (std::uint64_t b = 0; b < bytes; ++b) {
+            std::uint64_t byte = 0;
+            for (std::uint64_t i = 0; i < 8 && 8 * b + i < bits; ++i)
+                byte |= std::uint64_t{page.get(8 * b + i)} << i;
+            want = fnvStep(want, byte);
+        }
+    };
+    fold(0, full, page_bits);
+    fold(1, tail, 131050);
+
+    DigestSink sink;
+    sink.consume(chunkOf(0, page_bits, page_bits, full));
+    sink.consume(chunkOf(1, page_bits, 131050, tail));
+    EXPECT_EQ(sink.digest(), want);
+}
+
 TEST(ResultSinkTest, PopcountFoldsValidBitsOnly)
 {
     const std::uint64_t page_bits = 64;
