@@ -880,25 +880,14 @@ FlashCosmosDrive::planProgram(const MwsPlan &plan, const Expr &expr,
     ctx.erasedRef = &erased_ref_[column].addr;
 
     for (LoweredStep &ls : lowerPlan(plan, ctx)) {
-        if (ls.kind == LoweredStep::Kind::LatchXor) {
-            prog.steps.push_back(engine::ColumnStep{
-                engine::StepKind::LatchXor,
-                [plane](nand::NandChip &chip) {
-                    return chip.executeXor(plane);
-                },
-                0, 0});
-            continue;
-        }
+        const engine::StepKind kind =
+            ls.kind == LoweredStep::Kind::LatchXor
+                ? engine::StepKind::LatchXor
+                : engine::StepKind::Sense;
         prog.steps.push_back(engine::ColumnStep{
-            engine::StepKind::Sense,
-            [cmd = std::move(ls.cmd),
-             or_merge = ls.orMergeAfter](nand::NandChip &chip) {
-                nand::OpResult r = chip.executeMws(cmd);
-                if (or_merge) {
-                    // Legacy cache-read OR transfer (Figure 6(c) path).
-                    chip.latches(cmd.plane).dumpOrMerge();
-                }
-                return r;
+            kind,
+            [ls = std::move(ls)](nand::NandChip &chip) {
+                return ls.run(chip);
             },
             0, 0});
     }

@@ -6,6 +6,15 @@ namespace fcos::core {
 
 namespace {
 
+LoweredStep
+latchXor(std::uint32_t plane)
+{
+    LoweredStep s;
+    s.kind = LoweredStep::Kind::LatchXor;
+    s.cmd.plane = plane;
+    return s;
+}
+
 std::vector<LoweredStep>
 lowerXor(const MwsPlan &plan, const LoweringContext &ctx)
 {
@@ -30,13 +39,23 @@ lowerXor(const MwsPlan &plan, const LoweringContext &ctx)
             nand::WlSelection{a.block, a.subBlock, 1ULL << a.wordline});
         steps.push_back(std::move(s));
         if (i > 0)
-            steps.push_back(LoweredStep{LoweredStep::Kind::LatchXor, {},
-                                        false});
+            steps.push_back(latchXor(ctx.plane));
     }
     return steps;
 }
 
 } // namespace
+
+nand::OpResult
+LoweredStep::run(nand::NandChip &chip) const
+{
+    if (kind == Kind::LatchXor)
+        return chip.executeXor(cmd.plane);
+    nand::OpResult r = chip.executeMws(cmd);
+    if (orMergeAfter)
+        chip.latches(cmd.plane).dumpOrMerge();
+    return r;
+}
 
 std::vector<LoweredStep>
 lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
@@ -103,8 +122,7 @@ lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
         s.cmd.selections.push_back(
             nand::WlSelection{e.block, e.subBlock, 1ULL << e.wordline});
         steps.push_back(std::move(s));
-        steps.push_back(
-            LoweredStep{LoweredStep::Kind::LatchXor, {}, false});
+        steps.push_back(latchXor(ctx.plane));
     }
 
     return steps;

@@ -9,10 +9,11 @@
  * functional mode binds through its own batch layout — but the mapping
  * from PlanCommands / XOR chains to MWS command bytes, ISCM flags, OR
  * dumps and latch XORs is hardware semantics and must exist exactly
- * once. lowerPlan() is that one place: both execution paths feed it
- * their address resolver and drive the resulting step list, so the
- * figure workloads and the fc_read library cannot drift apart in how
- * they translate plans to silicon.
+ * once. lowerPlan() is that one place, and LoweredStep::run() the one
+ * executor of its steps: both execution paths feed it their address
+ * resolver and run the resulting step list, so the figure workloads
+ * and the fc_read library cannot drift apart in how they translate
+ * plans to silicon.
  */
 
 #ifndef FCOS_CORE_LOWERING_H
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "core/plan.h"
+#include "nand/chip.h"
 #include "nand/command.h"
 
 namespace fcos::core {
@@ -37,9 +39,14 @@ struct LoweredStep
     };
 
     Kind kind = Kind::Sense;
-    nand::MwsCommand cmd; ///< valid for Kind::Sense
+    /** The MWS sense (Kind::Sense); for Kind::LatchXor only cmd.plane. */
+    nand::MwsCommand cmd;
     /** Legacy cache-read OR transfer (Figure 6(c)) after the sense. */
     bool orMergeAfter = false;
+
+    /** Execute this step on @p chip: the sense and its OR transfer, or
+     *  the latch XOR. */
+    nand::OpResult run(nand::NandChip &chip) const;
 };
 
 /** Physical binding of a plan's literals for one page column. */

@@ -89,7 +89,9 @@ NandChip::senseCommon(std::uint32_t plane,
     // Precharge step: latch initialization per the ISCM flags.
     if (flags.initSenseLatch)
         l.initSense();
-    if (flags.initCacheLatch)
+    // A dump assigns the whole C-latch, so only a sense that leaves C
+    // alone needs the C-init fill.
+    if (flags.initCacheLatch && !flags.dumpToCache)
         l.initCache();
 
     // Evaluation step: simultaneous sensing of all selected wordlines.
@@ -139,12 +141,6 @@ NandChip::executeMws(const MwsCommand &cmd)
 }
 
 OpResult
-NandChip::executeMwsBytes(const std::vector<std::uint8_t> &bytes)
-{
-    return executeMws(decodeMws(geom_, bytes));
-}
-
-OpResult
 NandChip::executeXor(std::uint32_t plane)
 {
     fcos_assert(plane < geom_.planesPerDie, "plane %u out of range", plane);
@@ -153,24 +149,6 @@ NandChip::executeXor(std::uint32_t plane)
     // sense; model it as 1 us of array-logic activity.
     Time t = usToTime(1.0);
     return {t, PowerModel::energy(0.2, t)};
-}
-
-OpResult
-NandChip::senseParaBit(const WordlineAddr &addr, bool init_sense,
-                       bool dump_or)
-{
-    checkAddr(geom_, addr);
-    LatchArray &l = latches_[addr.plane];
-    if (init_sense)
-        l.initSense();
-    WlSelection sel{addr.block, addr.subBlock, 1ULL << addr.wordline};
-    BitVector conduction = cells_.senseConduction(
-        addr.plane, {sel}, injector_, nextSenseSeq(addr.plane));
-    l.evaluate(conduction, false, init_sense);
-    if (dump_or)
-        l.dumpOrMerge();
-    Time t = timing_.timings().tReadSlc;
-    return {t, PowerModel::energy(PowerModel::kReadPower, t)};
 }
 
 OpResult
@@ -248,20 +226,6 @@ NandChip::eraseVerify(std::uint32_t plane, std::uint32_t block,
     if (cost)
         *cost = total;
     return ok;
-}
-
-void
-NandChip::initCache(std::uint32_t plane)
-{
-    fcos_assert(plane < geom_.planesPerDie, "plane %u out of range", plane);
-    latches_[plane].initCache();
-}
-
-void
-NandChip::dumpCopy(std::uint32_t plane)
-{
-    fcos_assert(plane < geom_.planesPerDie, "plane %u out of range", plane);
-    latches_[plane].dumpCopy();
 }
 
 const BitVector &

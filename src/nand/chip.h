@@ -8,10 +8,13 @@
  * latency and energy of every operation from the calibrated timing and
  * power models.
  *
- * Two dump paths exist from the sensing latch to the cache latch (see
- * latch.h): the legacy cache-read path (OR-merge, used by ParaBit's OR
- * flow) and the MWS command's accumulate path (copy when C-init is on,
- * AND-merge when off, per the Figure 16 semantics).
+ * Every sense enters through readPage() or executeMws(); both share
+ * one precharge/evaluate/dump sequence. The MWS dump copies into the
+ * cache latch when C-init is on and AND-merges when it is off (the
+ * Figure 16 semantics). ParaBit's serial flows (Figure 6) are plain
+ * single-wordline MWS commands: the AND clears S-init after the first
+ * operand; the OR turns the dump off and follows each sense with the
+ * cache-read OR transfer, latches(plane).dumpOrMerge().
  */
 
 #ifndef FCOS_NAND_CHIP_H
@@ -101,20 +104,8 @@ class NandChip
      */
     OpResult executeMws(const MwsCommand &cmd);
 
-    /** Execute an encoded MWS command byte sequence. */
-    OpResult executeMwsBytes(const std::vector<std::uint8_t> &bytes);
-
     /** Execute the XOR command on @p plane: C := S XOR C. */
     OpResult executeXor(std::uint32_t plane);
-
-    /**
-     * ParaBit-style sensing (Figure 6): a *regular* single-wordline
-     * sense with explicit latch control. @p init_sense false gives the
-     * S := S AND N accumulation; @p dump_or true OR-merges into the
-     * cache latch after evaluation.
-     */
-    OpResult senseParaBit(const WordlineAddr &addr, bool init_sense,
-                          bool dump_or);
 
     /**
      * Program the cache latch contents into @p addr without any
@@ -144,16 +135,10 @@ class NandChip
     bool eraseVerify(std::uint32_t plane, std::uint32_t block,
                      OpResult *cost = nullptr);
 
-    /** Initialize the cache latch of @p plane (precharge step). */
-    void initCache(std::uint32_t plane);
-
-    /** Move S-latch to C-latch (cache-read transfer), C := S. */
-    void dumpCopy(std::uint32_t plane);
-
     /** Data-out: the cache latch contents of @p plane. */
     const BitVector &dataOut(std::uint32_t plane) const;
 
-    /** Direct latch access for tests. */
+    /** The latch pair of @p plane (the OR-merge transfer; tests). */
     LatchArray &latches(std::uint32_t plane);
 
     /** Total senses across all planes (campaign bookkeeping). */

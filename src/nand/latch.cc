@@ -12,7 +12,6 @@ LatchArray::LatchArray(std::size_t bitlines)
 void
 LatchArray::initSense()
 {
-    sense_.fill(true);
     sense_initialized_ = true;
 }
 
@@ -35,11 +34,12 @@ LatchArray::evaluate(const BitVector &conduction, bool inverse,
         fcos_assert(initialized && sense_initialized_,
                     "inverse read requires S-latch initialization");
         sense_ = ~conduction;
-    } else if (initialized) {
-        fcos_assert(sense_initialized_,
-                    "evaluate(initialized) without initSense()");
+    } else if (sense_initialized_) {
+        // A precharged S is all-'1', so it latches the conduction.
         sense_ = conduction;
     } else {
+        fcos_assert(!initialized,
+                    "evaluate(initialized) without initSense()");
         // ParaBit AND accumulation: evaluation can only discharge OUT_S.
         sense_ &= conduction;
     }

@@ -26,8 +26,8 @@
  *    instead of OUT_L can only force '0', which is exactly the AND
  *    merge; the paper's worked example (Equation 4) requires the two
  *    MWS results to combine conjunctively in both latches. The MWS
- *    command's dump therefore uses the AND path, while the ParaBit OR
- *    sequence keeps using the classic OR path.
+ *    command's dump therefore uses the AND path; the classic OR path
+ *    stays available as dumpOrMerge() for OR-merged plan steps.
  *
  *  - XOR command (Section 6.1): C := S XOR C, using the spare program
  *    latches present in MLC/TLC chips.
@@ -50,7 +50,11 @@ class LatchArray
 
     std::size_t bitlines() const { return sense_.size(); }
 
-    /** Precharge-step S-latch initialization (normal polarity). */
+    /**
+     * Precharge-step S-latch initialization (normal polarity). Only a
+     * flag: the next evaluate() treats S as all-'1' and assigns every
+     * bit, so no fill is needed.
+     */
     void initSense();
 
     /** Precharge-step C-latch initialization (to the OR identity '0'). */
@@ -86,11 +90,8 @@ class LatchArray
     /** Data-out path reads the cache latch. */
     const BitVector &cache() const { return cache_; }
 
-    /** The sensing latch contents (visible for tests/inspection). */
+    /** The sensing latch as of the last evaluate() (tests). */
     const BitVector &sense() const { return sense_; }
-
-    /** True if initSense() was called since the last evaluate(). */
-    bool senseInitialized() const { return sense_initialized_; }
 
   private:
     BitVector sense_;

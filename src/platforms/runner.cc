@@ -563,12 +563,8 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                                 "functional plans lower to senses only");
                     prog.steps.push_back(engine::ColumnStep{
                         engine::StepKind::Sense,
-                        [cmd = std::move(ls.cmd),
-                         or_merge = ls.orMergeAfter,
-                         t_mws](nand::NandChip &c) {
-                            nand::OpResult op = c.executeMws(cmd);
-                            if (or_merge)
-                                c.latches(cmd.plane).dumpOrMerge();
+                        [ls = std::move(ls), t_mws](nand::NandChip &c) {
+                            nand::OpResult op = ls.run(c);
                             // The SSD schedules the conservative fixed
                             // command latency (Section 5.2), matching
                             // the timing-only driver.

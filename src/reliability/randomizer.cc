@@ -1,26 +1,16 @@
 #include "reliability/randomizer.h"
 
+#include "util/rng.h"
+
 namespace fcos::rel {
-
-namespace {
-
-/** splitmix64: cheap, well-distributed keystream generator. */
-std::uint64_t
-mix(std::uint64_t z)
-{
-    z += 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 std::uint64_t
 Randomizer::keystreamWord(std::uint64_t page_key, std::size_t idx) const
 {
-    return mix(device_seed_ ^ mix(page_key) ^
-               (0xA5A5A5A5A5A5A5A5ULL * (idx + 1)));
+    // Rng::mix(z, 0) is splitmix64 of z.
+    return Rng::mix(device_seed_ ^ Rng::mix(page_key, 0) ^
+                        (0xA5A5A5A5A5A5A5A5ULL * (idx + 1)),
+                    0);
 }
 
 void
