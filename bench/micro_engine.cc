@@ -3,13 +3,14 @@
  * Google-benchmark microbenchmarks of the kernels fcbench's layer
  * probes do not time on their own: event-queue throughput, the seeded
  * page-generation, popcount and result-digest kernels at each ISA
- * level, and BCH coding.
+ * level, an MWS over the serving drive's tiny pages, and BCH coding.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "nand/chip.h"
 #include "reliability/bch.h"
 #include "sim/event_queue.h"
 #include "util/bitvector.h"
@@ -129,6 +130,29 @@ BM_DigestAtLevel(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()); // pages
 }
 BENCHMARK(BM_DigestAtLevel)->Arg(0)->Arg(1)->Arg(2);
+
+void
+BM_SenseTinyPage(benchmark::State &state)
+{
+    // A 2-wordline MWS on a sparse Geometry::tiny() chip holding random
+    // images: the serving drive's page layer, which fcbench's nand.*
+    // probes (Table-1 pages) do not time.
+    const nand::Geometry geom = nand::Geometry::tiny();
+    nand::NandChip chip(geom, nand::Timings{}, nullptr,
+                        nand::PageStoreKind::Sparse);
+    for (std::uint32_t wl = 0; wl < 2; ++wl)
+        chip.programPageEsp({0, 0, 0, wl},
+                            nand::PageImage::random(Rng::mix(11, wl)),
+                            nand::EspParams{2.0});
+    nand::MwsCommand cmd;
+    cmd.selections.push_back(nand::WlSelection{0, 0, 0b11});
+    for (auto _ : state) {
+        nand::OpResult r = chip.executeMws(cmd);
+        benchmark::DoNotOptimize(r.latency);
+    }
+    state.SetItemsProcessed(state.iterations()); // senses
+}
+BENCHMARK(BM_SenseTinyPage);
 
 void
 BM_BchEncode(benchmark::State &state)

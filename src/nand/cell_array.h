@@ -4,8 +4,9 @@
  *
  * Page payloads live behind the PageStore abstraction (page_store.h):
  * the dense backend materializes every programmed page, the sparse
- * backend keeps generator descriptors and materializes only the pages
- * a sense touches. Either way the array tracks per-block P/E cycle
+ * backend stores a page that fits its descriptor as its bits and keeps
+ * wider pages as generator descriptors, materializing only the pages a
+ * sense touches. Either way the array tracks per-block P/E cycle
  * counts and computes the per-bitline *string conduction* of an
  * arbitrary set of simultaneously activated wordlines — the physical
  * primitive behind Multi-Wordline Sensing (Section 4.1):
@@ -87,8 +88,9 @@ class CellArray
     void program(const WordlineAddr &addr, const BitVector &data,
                  const PageMeta &meta);
 
-    /** Program from an image descriptor; the sparse backend stores the
-     *  descriptor without materializing the payload. */
+    /** Program from an image descriptor. The sparse backend stores a
+     *  page of at most PageImage::kInlineBits as its bits, generated
+     *  once here; a wider page keeps its descriptor unmaterialized. */
     void program(const WordlineAddr &addr, PageImage image,
                  const PageMeta &meta);
 
@@ -119,7 +121,10 @@ class CellArray
     /**
      * Per-bitline conduction of the activated wordline set
      * (the MWS primitive). @p selections must be non-empty; every
-     * selection must name a distinct string set.
+     * selection must name a distinct string set. Each programmed page
+     * is read as stored: an inline page copies its bits, a wider
+     * descriptor is materialized for this sense; errors are injected
+     * on that error-free payload.
      */
     BitVector senseConduction(std::uint32_t plane,
                               const std::vector<WlSelection> &selections,

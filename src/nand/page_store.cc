@@ -1,5 +1,6 @@
 #include "nand/page_store.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,6 +21,27 @@ pageStoreName(PageStoreKind kind)
     return "?";
 }
 
+static_assert(sizeof(PageImage) == 8 + PageImage::kInlineWords * 8,
+              "the inline payload shares the generator's and the "
+              "payload pointer's bytes");
+
+namespace {
+
+/** @p bits of Random(seed, 0.5) into @p w: at p = 0.5 randomize()
+ *  takes one output of a fresh engine per word, so a page of at most
+ *  Mt19937_64::kMaxFirstOutputs words needs only a prefix of the
+ *  stream, not the full 312-word seed and twist. */
+void
+randomPrefix(std::uint64_t seed, std::uint64_t *w, std::size_t bits)
+{
+    const std::size_t n = (bits + 63) / 64;
+    Mt19937_64::firstOutputs(seed, w, n);
+    if (bits % 64 != 0)
+        w[n - 1] &= (std::uint64_t{1} << (bits % 64)) - 1;
+}
+
+} // namespace
+
 PageImage
 PageImage::fill(bool ones)
 {
@@ -34,8 +56,7 @@ PageImage::random(std::uint64_t seed, double p_one)
 {
     PageImage img;
     img.kind_ = Kind::Random;
-    img.seed_ = seed;
-    img.p_one_ = p_one;
+    img.gen_ = {seed, p_one};
     return img;
 }
 
@@ -60,7 +81,7 @@ PageImage::shared(std::shared_ptr<const BitVector> bits)
     fcos_assert(bits != nullptr, "dense page image without payload");
     PageImage img;
     img.kind_ = Kind::Dense;
-    img.payload_ = std::move(bits);
+    new (&img.payload_) std::shared_ptr<const BitVector>(std::move(bits));
     return img;
 }
 
@@ -72,27 +93,58 @@ PageImage::inverted() const
     return img;
 }
 
+PageImage
+PageImage::inlined(std::size_t bits) const
+{
+    fcos_assert(bits <= kInlineBits,
+                "a %zu-bit page does not fit an inline image", bits);
+    if (kind_ == Kind::Inline)
+        return *this;
+    PageImage img;
+    img.kind_ = Kind::Inline;
+    img.inverted_ = inverted_;
+    img.bits_ = static_cast<std::uint16_t>(bits);
+    img.words_ = {};
+    // The stored bits are the uninverted payload: materialize() applies
+    // inverted_ to every kind alike.
+    if (kind_ == Kind::Random && gen_.pOne == 0.5) {
+        randomPrefix(gen_.seed, img.words_.data(), bits);
+    } else if (kind_ == Kind::Dense) {
+        fcos_assert(payload_->size() == bits,
+                    "dense page image is %zu bits, page is %zu bits",
+                    payload_->size(), bits);
+        std::ranges::copy(payload_->words(), img.words_.begin());
+    } else {
+        const BitVector v = (inverted_ ? inverted() : *this).materialize(bits);
+        std::ranges::copy(v.words(), img.words_.begin());
+    }
+    return img;
+}
+
 BitVector
 PageImage::materialize(std::size_t bits) const
 {
     BitVector out;
     switch (kind_) {
+      case Kind::Inline:
+        fcos_assert(bits == bits_,
+                    "inline page image is %u bits, page is %zu bits",
+                    unsigned{bits_}, bits);
+        out = BitVector(bits);
+        std::copy_n(words_.begin(), out.words().size(),
+                    out.words().begin());
+        break;
       case Kind::Fill:
         out = BitVector(bits, flag_);
         break;
       case Kind::Random: {
         out = BitVector(bits);
         std::vector<std::uint64_t> &w = out.words();
-        if (p_one_ == 0.5 && w.size() <= Mt19937_64::kMaxFirstOutputs) {
-            // At p = 0.5 randomize() takes one output of a fresh engine
-            // per word, so a small page needs only a prefix of the
-            // stream, not the full 312-word seed and twist.
-            Mt19937_64::firstOutputs(seed_, w.data(), w.size());
-            if (bits % 64 != 0)
-                w.back() &= (std::uint64_t{1} << (bits % 64)) - 1;
+        if (gen_.pOne == 0.5 && w.size() <= Mt19937_64::kMaxFirstOutputs) {
+            randomPrefix(gen_.seed, w.data(), bits);
         } else {
-            Rng rng = Rng::seeded(seed_);
-            out.randomize(rng, p_one_);
+            Rng rng = Rng::seeded(gen_.seed);
+            out.randomize(rng, gen_.pOne);
         }
         break;
       }
@@ -115,8 +167,9 @@ PageImage::materialize(std::size_t bits) const
 std::size_t
 PageImage::heapBytes() const
 {
-    return payload_ ? payload_->words().capacity() * sizeof(std::uint64_t)
-                    : 0;
+    return kind_ == Kind::Dense && payload_
+               ? payload_->words().capacity() * sizeof(std::uint64_t)
+               : 0;
 }
 
 namespace {
@@ -182,14 +235,24 @@ class DensePageStore final : public MapPageStore
 class SparsePageStore final : public MapPageStore
 {
   public:
+    explicit SparsePageStore(std::size_t page_bits) : page_bits_(page_bits)
+    {}
+
     PageStoreKind kind() const override { return PageStoreKind::Sparse; }
 
     void program(std::uint64_t key, PageImage image,
                  const PageMeta &meta) override
     {
-        // Keep the descriptor; materialization happens per sense.
+        // A page that fits the descriptor is stored as its bits, so a
+        // sense copies them; a wider one keeps its descriptor and is
+        // materialized per sense.
+        if (page_bits_ <= PageImage::kInlineBits)
+            image = image.inlined(page_bits_);
         pages_.emplace(key, StoredPage{std::move(image), meta});
     }
+
+  private:
+    std::size_t page_bits_;
 };
 
 } // namespace
@@ -199,7 +262,7 @@ PageStore::make(PageStoreKind kind, std::size_t page_bits)
 {
     if (kind == PageStoreKind::Dense)
         return std::make_unique<DensePageStore>(page_bits);
-    return std::make_unique<SparsePageStore>();
+    return std::make_unique<SparsePageStore>(page_bits);
 }
 
 } // namespace fcos::nand

@@ -13,6 +13,13 @@
  * programmed pages costs kilobytes, not gigabytes — the prerequisite
  * for running full-geometry drives inside CTest.
  *
+ * A page that fits inside the descriptor (at most
+ * PageImage::kInlineBits, the 256-bit Geometry::tiny() serving page)
+ * is stored as its bits: the sparse backend generates it once at
+ * program time, so sensing it copies four words instead of re-seeding
+ * a generator, and it holds no heap bytes. Wider pages keep their
+ * descriptor and still materialize per sense.
+ *
  * Materialization is a pure function of the descriptor, so the two
  * backends are bit-for-bit interchangeable: same sensed data, same
  * conduction, same injected-error seeds (certified by
@@ -22,8 +29,11 @@
 #ifndef FCOS_NAND_PAGE_STORE_H
 #define FCOS_NAND_PAGE_STORE_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <utility>
 
 #include "nand/config.h"
 #include "util/bitvector.h"
@@ -45,16 +55,18 @@ struct PageMeta
 enum class PageStoreKind : std::uint8_t
 {
     Dense,  ///< every page a materialized BitVector
-    Sparse, ///< descriptors; payloads materialized per sense
+    Sparse, ///< descriptors; wider-than-inline pages materialized
+            ///< per sense
 };
 
 const char *pageStoreName(PageStoreKind kind);
 
 /**
- * The content of one page: a procedural generator descriptor or a
- * (possibly shared) dense payload. Descriptors may additionally be
- * stored with inverted polarity — the §6.1 De Morgan storage — without
- * materializing the complement.
+ * The content of one page: a procedural generator descriptor, a
+ * (possibly shared) dense payload, or the page's own bits inline when
+ * they fit in the descriptor's kInlineWords words. Descriptors may
+ * additionally be stored with inverted polarity — the §6.1 De Morgan
+ * storage — without materializing the complement.
  */
 class PageImage
 {
@@ -65,10 +77,35 @@ class PageImage
         Random,    ///< seeded Bernoulli(pOne) pattern
         Checkered, ///< alternating 1,0,1,0,... (Section 5.1 worst case)
         Dense,     ///< explicit payload (shared, copy-on-write)
+        Inline,    ///< the page's bits, stored in the descriptor itself
     };
 
+    /** Widest page stored inline: the 32 bytes a generator and a
+     *  payload pointer take anyway, one Geometry::tiny() page. */
+    static constexpr std::size_t kInlineWords = 4;
+    static constexpr std::size_t kInlineBits = kInlineWords * 64;
+
     /** Default: an all-ones (erased-looking) fill. */
-    PageImage() = default;
+    PageImage() : gen_() {}
+    PageImage(const PageImage &other) { adopt(other); }
+    PageImage(PageImage &&other) noexcept { adopt(std::move(other)); }
+    PageImage &operator=(const PageImage &other)
+    {
+        if (this != &other) {
+            release();
+            adopt(other);
+        }
+        return *this;
+    }
+    PageImage &operator=(PageImage &&other) noexcept
+    {
+        if (this != &other) {
+            release();
+            adopt(std::move(other));
+        }
+        return *this;
+    }
+    ~PageImage() { release(); }
 
     static PageImage fill(bool ones);
     static PageImage random(std::uint64_t seed, double p_one = 0.5);
@@ -85,23 +122,67 @@ class PageImage
     /** This image with flipped polarity (descriptor-level NOT). */
     PageImage inverted() const;
 
+    /** This image stored as its bits at @p bits <= kInlineBits page
+     *  width: same content and polarity, no generator, no heap. */
+    PageImage inlined(std::size_t bits) const;
+
     /** Generate the page content at @p bits page width. */
     BitVector materialize(std::size_t bits) const;
 
-    /** Heap bytes held by this image (0 for procedural descriptors). */
+    /** Heap bytes held by this image (0 unless Dense). */
     std::size_t heapBytes() const;
 
     /** Identity of the shared payload (dedup in footprint accounting);
-     *  nullptr for procedural images. */
-    const BitVector *payloadId() const { return payload_.get(); }
+     *  nullptr unless Dense. */
+    const BitVector *payloadId() const
+    {
+        return kind_ == Kind::Dense ? payload_.get() : nullptr;
+    }
 
   private:
+    struct Generator
+    {
+        std::uint64_t seed = 0;
+        double pOne = 0.5;
+    };
+
+    /** Take @p other's kind, flags and payload (copied or moved). */
+    template <typename Other>
+    void adopt(Other &&other)
+    {
+        kind_ = other.kind_;
+        inverted_ = other.inverted_;
+        flag_ = other.flag_;
+        bits_ = other.bits_;
+        switch (kind_) {
+          case Kind::Dense:
+            new (&payload_) std::shared_ptr<const BitVector>(
+                std::forward<Other>(other).payload_);
+            break;
+          case Kind::Inline:
+            words_ = other.words_;
+            break;
+          default:
+            gen_ = other.gen_;
+            break;
+        }
+    }
+    /** End the payload's lifetime if this image holds one. */
+    void release() noexcept
+    {
+        if (kind_ == Kind::Dense)
+            payload_.~shared_ptr();
+    }
+
     Kind kind_ = Kind::Fill;
     bool inverted_ = false;
-    bool flag_ = true; ///< Fill: value; Checkered: first bit
-    std::uint64_t seed_ = 0;
-    double p_one_ = 0.5;
-    std::shared_ptr<const BitVector> payload_;
+    bool flag_ = true;         ///< Fill: value; Checkered: first bit
+    std::uint16_t bits_ = 0;   ///< Inline: page width
+    union {                    ///< which member is live follows kind_
+        Generator gen_;        ///< Random
+        std::shared_ptr<const BitVector> payload_;       ///< Dense
+        std::array<std::uint64_t, kInlineWords> words_;  ///< Inline
+    };
 };
 
 /** One programmed page: content plus programming context. */
@@ -144,8 +225,9 @@ class PageStore
      */
     virtual std::size_t contentBytes() const = 0;
 
-    /** @param page_bits  page width, needed by the dense backend to
-     *                    materialize descriptors at program time. */
+    /** @param page_bits  page width: the dense backend materializes
+     *                    every descriptor at it, the sparse backend
+     *                    the ones that fit inline. */
     static std::unique_ptr<PageStore> make(PageStoreKind kind,
                                            std::size_t page_bits);
 };

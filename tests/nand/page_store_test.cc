@@ -7,10 +7,13 @@
  * backend — through identical programs (dense payloads, procedural
  * descriptors, inverted descriptors) and the shared random MWS command
  * corpus, with the V_TH error model attached: sensed bits, conduction,
- * latch state and injected-error positions must match exactly. The
- * scale half instantiates a full Table-1 die, programs under 1% of its
- * pages procedurally, and pins the heap footprint — the property that
- * lets Table-1 drives run inside CTest.
+ * latch state and injected-error positions must match exactly. It runs
+ * once on Geometry::tiny(), whose 256-bit pages the sparse backend
+ * stores inline, and once on a page one word wider, which keeps its
+ * descriptors and materializes per sense. The scale half instantiates
+ * a full Table-1 die, programs under 1% of its pages procedurally, and
+ * pins the heap footprint — the property that lets Table-1 drives run
+ * inside CTest.
  */
 
 #include <gtest/gtest.h>
@@ -90,9 +93,12 @@ programTwin(InjectedChip &a, InjectedChip &b, const Geometry &geom,
     }
 }
 
-TEST(PageStoreEquivalenceTest, CorpusSensesIdenticallyOnBothBackends)
+/** Program the mixed population on a dense and a sparse chip of
+ *  @p geom, run the shared MWS command corpus on both and require
+ *  identical results and injected errors. */
+void
+expectCorpusSensesIdentically(const Geometry &geom)
 {
-    const Geometry geom = Geometry::tiny();
     InjectedChip dense(geom, PageStoreKind::Dense);
     InjectedChip sparse(geom, PageStoreKind::Sparse);
     ASSERT_EQ(dense.chip.cells().storeKind(), PageStoreKind::Dense);
@@ -129,6 +135,24 @@ TEST(PageStoreEquivalenceTest, CorpusSensesIdenticallyOnBothBackends)
     EXPECT_EQ(dense.injector.sensedBits(), sparse.injector.sensedBits());
     EXPECT_GT(dense.injector.injectedErrors(), 0u)
         << "the equivalence run never exercised the error model";
+}
+
+TEST(PageStoreEquivalenceTest, CorpusSensesIdenticallyOnBothBackends)
+{
+    expectCorpusSensesIdentically(Geometry::tiny());
+}
+
+TEST(PageStoreEquivalenceTest, WiderThanInlinePagesSenseIdentically)
+{
+    // One word wider than the inline window: the sparse backend keeps
+    // the descriptors and takes the per-sense generator path.
+    Geometry geom = Geometry::tiny();
+    geom.pageBytes = 40;
+    ASSERT_GT(geom.pageBits(), PageImage::kInlineBits);
+    auto store = PageStore::make(PageStoreKind::Sparse, geom.pageBits());
+    store->program(0, PageImage::random(1), PageMeta{});
+    EXPECT_EQ(store->find(0)->image.kind(), PageImage::Kind::Random);
+    expectCorpusSensesIdentically(geom);
 }
 
 TEST(PageStoreEquivalenceTest, ConductionMatchesAcrossBackends)
@@ -200,10 +224,12 @@ TEST(PageStoreScaleTest, Table1ChipStaysUnderByteBudget)
 
 TEST(PageImageTest, RandomImagesMatchSeededRandomize)
 {
-    // Pages of at most 156 words (9984 bits) take the MT19937-64 prefix
-    // path at p = 0.5; wider pages and any other p take randomize().
-    // Every width must give exactly what randomize() on a seeded Rng
-    // gives, tail bits included.
+    // Pages of at most Mt19937_64::kMaxFirstOutputs words (156 words,
+    // 9984 bits) take the MT19937-64 prefix path at p = 0.5; wider pages
+    // and any other p take randomize(). Page stores call this per sense
+    // only for pages wider than PageImage::kInlineBits, and once at
+    // program time for the rest. Every width must give exactly what
+    // randomize() on a seeded Rng gives, tail bits included.
     for (std::size_t bits : {1u, 63u, 64u, 256u, 9984u, 9985u, 131072u}) {
         for (double p : {0.5, 0.98}) {
             for (std::uint64_t seed : {0ULL, 7ULL, 0xDEADBEEFCAFEULL}) {
@@ -216,6 +242,87 @@ TEST(PageImageTest, RandomImagesMatchSeededRandomize)
                 EXPECT_EQ(img.inverted().materialize(bits), ~want)
                     << "bits=" << bits << " p=" << p << " seed=" << seed;
             }
+        }
+    }
+}
+
+TEST(PageImageTest, InlineImagesMatchSeededRandomize)
+{
+    // Every width the inline window holds, both polarities, whichever
+    // side of inlined() the inversion is applied on.
+    for (std::size_t bits = 1; bits <= PageImage::kInlineBits; ++bits) {
+        for (double p : {0.5, 0.98}) {
+            const std::uint64_t seed = Rng::mix(bits, p == 0.5);
+            BitVector want(bits);
+            Rng rng = Rng::seeded(seed);
+            want.randomize(rng, p);
+            const PageImage img = PageImage::random(seed, p);
+            const PageImage in = img.inlined(bits);
+            ASSERT_EQ(in.kind(), PageImage::Kind::Inline);
+            EXPECT_EQ(in.materialize(bits), want)
+                << "bits=" << bits << " p=" << p;
+            EXPECT_EQ(in.inverted().materialize(bits), ~want)
+                << "bits=" << bits << " p=" << p;
+            EXPECT_EQ(img.inverted().inlined(bits).materialize(bits), ~want)
+                << "bits=" << bits << " p=" << p;
+        }
+    }
+}
+
+TEST(PageImageTest, InlineImagesHoldNoHeap)
+{
+    const std::size_t bits = Geometry::tiny().pageBits();
+    BitVector v(bits);
+    Rng rng = Rng::seeded(2);
+    v.randomize(rng);
+    const PageImage dense = PageImage::dense(v);
+    EXPECT_GT(dense.heapBytes(), 0u);
+    for (const PageImage &img :
+         {PageImage::random(3), PageImage::fill(false),
+          PageImage::checkered(), dense, dense.inverted()}) {
+        const PageImage in = img.inlined(bits);
+        EXPECT_EQ(in.heapBytes(), 0u);
+        EXPECT_EQ(in.payloadId(), nullptr);
+        EXPECT_EQ(in.materialize(bits), img.materialize(bits));
+    }
+
+    // A GC copyback programs the destination from the latched page
+    // (a dense image); on a tiny sparse chip it adds only its entry's
+    // bookkeeping, the same bytes as a procedural page.
+    const Geometry geom = Geometry::tiny();
+    CellArray one(geom, PageStoreKind::Sparse);
+    one.program({0, 0, 0, 0}, PageImage::random(4), PageMeta{});
+    const std::size_t entry = one.contentBytes();
+    NandChip chip(geom, Timings{}, nullptr, PageStoreKind::Sparse);
+    chip.programPageEsp({0, 1, 0, 0}, v, EspParams{2.0});
+    EXPECT_EQ(chip.cells().contentBytes(), entry);
+    chip.copyback({0, 1, 0, 0}, {0, 2, 0, 0});
+    EXPECT_EQ(chip.cells().contentBytes(), 2 * entry);
+    EXPECT_EQ(chip.cells().pageData({0, 2, 0, 0}), v);
+}
+
+TEST(PageImageTest, CopiesAndAssignmentsKeepContent)
+{
+    // Each kind shares the descriptor's bytes with the others, so copy,
+    // move and assignment across kinds must carry the content whole.
+    const std::size_t bits = Geometry::tiny().pageBits();
+    BitVector v(bits);
+    Rng rng = Rng::seeded(6);
+    v.randomize(rng);
+    const std::vector<PageImage> kinds{
+        PageImage::fill(false), PageImage::random(7, 0.3),
+        PageImage::checkered(false), PageImage::dense(v),
+        PageImage::random(8).inlined(bits).inverted()};
+    for (const PageImage &from : kinds) {
+        const BitVector want = from.materialize(bits);
+        for (const PageImage &to : kinds) {
+            PageImage copy = to;
+            copy = from;
+            EXPECT_EQ(copy.materialize(bits), want);
+            PageImage moved = to;
+            moved = PageImage(copy);
+            EXPECT_EQ(moved.materialize(bits), want);
+            EXPECT_EQ(PageImage(std::move(moved)).materialize(bits), want);
         }
     }
 }
