@@ -25,23 +25,6 @@ static_assert(sizeof(PageImage) == 8 + PageImage::kInlineWords * 8,
               "the inline payload shares the generator's and the "
               "payload pointer's bytes");
 
-namespace {
-
-/** @p bits of Random(seed, 0.5) into @p w: at p = 0.5 randomize()
- *  takes one output of a fresh engine per word, so a page of at most
- *  Mt19937_64::kMaxFirstOutputs words needs only a prefix of the
- *  stream, not the full 312-word seed and twist. */
-void
-randomPrefix(std::uint64_t seed, std::uint64_t *w, std::size_t bits)
-{
-    const std::size_t n = (bits + 63) / 64;
-    Mt19937_64::firstOutputs(seed, w, n);
-    if (bits % 64 != 0)
-        w[n - 1] &= (std::uint64_t{1} << (bits % 64)) - 1;
-}
-
-} // namespace
-
 PageImage
 PageImage::fill(bool ones)
 {
@@ -81,7 +64,7 @@ PageImage::shared(std::shared_ptr<const BitVector> bits)
     fcos_assert(bits != nullptr, "dense page image without payload");
     PageImage img;
     img.kind_ = Kind::Dense;
-    new (&img.payload_) std::shared_ptr<const BitVector>(std::move(bits));
+    std::construct_at(&img.payload_, std::move(bits));
     return img;
 }
 
@@ -104,20 +87,11 @@ PageImage::inlined(std::size_t bits) const
     img.kind_ = Kind::Inline;
     img.inverted_ = inverted_;
     img.bits_ = static_cast<std::uint16_t>(bits);
-    img.words_ = {};
+    std::construct_at(&img.words_);
     // The stored bits are the uninverted payload: materialize() applies
     // inverted_ to every kind alike.
-    if (kind_ == Kind::Random && gen_.pOne == 0.5) {
-        randomPrefix(gen_.seed, img.words_.data(), bits);
-    } else if (kind_ == Kind::Dense) {
-        fcos_assert(payload_->size() == bits,
-                    "dense page image is %zu bits, page is %zu bits",
-                    payload_->size(), bits);
-        std::ranges::copy(payload_->words(), img.words_.begin());
-    } else {
-        const BitVector v = (inverted_ ? inverted() : *this).materialize(bits);
-        std::ranges::copy(v.words(), img.words_.begin());
-    }
+    const BitVector v = (inverted_ ? inverted() : *this).materialize(bits);
+    std::ranges::copy(v.words(), img.words_.begin());
     return img;
 }
 
@@ -141,7 +115,12 @@ PageImage::materialize(std::size_t bits) const
         out = BitVector(bits);
         std::vector<std::uint64_t> &w = out.words();
         if (gen_.pOne == 0.5 && w.size() <= Mt19937_64::kMaxFirstOutputs) {
-            randomPrefix(gen_.seed, w.data(), bits);
+            // At p = 0.5 randomize() takes one output of a fresh engine
+            // per word, so a small page needs only a prefix of the
+            // stream, not the full 312-word seed and twist.
+            Mt19937_64::firstOutputs(gen_.seed, w.data(), w.size());
+            if (bits % 64 != 0)
+                w.back() &= (std::uint64_t{1} << (bits % 64)) - 1;
         } else {
             Rng rng = Rng::seeded(gen_.seed);
             out.randomize(rng, gen_.pOne);

@@ -32,7 +32,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <utility>
 
 #include "nand/config.h"
@@ -146,7 +145,8 @@ class PageImage
         double pOne = 0.5;
     };
 
-    /** Take @p other's kind, flags and payload (copied or moved). */
+    /** Take @p other's kind, flags and payload (copied or moved),
+     *  starting the lifetime of the union member kind_ names. */
     template <typename Other>
     void adopt(Other &&other)
     {
@@ -156,14 +156,14 @@ class PageImage
         bits_ = other.bits_;
         switch (kind_) {
           case Kind::Dense:
-            new (&payload_) std::shared_ptr<const BitVector>(
-                std::forward<Other>(other).payload_);
+            std::construct_at(&payload_,
+                              std::forward<Other>(other).payload_);
             break;
           case Kind::Inline:
-            words_ = other.words_;
+            std::construct_at(&words_, other.words_);
             break;
           default:
-            gen_ = other.gen_;
+            std::construct_at(&gen_, other.gen_);
             break;
         }
     }
