@@ -45,13 +45,13 @@ measure(nand::ProgramMode mode, std::uint64_t total_bytes)
         // Host -> SSD, then the die data-in and the program pulse.
         sched.submitExternal(page, [&sched, p, planes_per_die, page,
                                     t_prog, e_prog] {
-            sched.submitPlaneOp(
+            sched.submit(engine::stepProgram(
                 p / planes_per_die, p % planes_per_die,
-                ssd::EnergyComponent::NandProgram,
-                [t_prog, e_prog](nand::NandChip &) {
-                    return nand::OpResult{t_prog, e_prog};
-                },
-                {}, /*pre_dma_bytes=*/page);
+                {engine::StepKind::Program,
+                 [t_prog, e_prog](nand::NandChip &) {
+                     return nand::OpResult{t_prog, e_prog};
+                 },
+                 0, /*dmaBeforeBytes=*/page}));
         });
     }
     Time makespan = eng.drain();

@@ -33,23 +33,6 @@ struct FlashCosmosDrive::RequestState
     engine::OpStats *counters() { return stats ? &os : nullptr; }
 };
 
-namespace {
-
-/** A one-step column program on (@p die, @p plane) whose result stays
- *  on the die. */
-engine::ColumnProgram
-stepProgram(std::uint32_t die, std::uint32_t plane, engine::ColumnStep step)
-{
-    engine::ColumnProgram p;
-    p.die = die;
-    p.plane = plane;
-    p.readOutResult = false;
-    p.steps.push_back(std::move(step));
-    return p;
-}
-
-} // namespace
-
 FlashCosmosDrive::FlashCosmosDrive() : FlashCosmosDrive(Config{}) {}
 
 FlashCosmosDrive::FlashCosmosDrive(const Config &cfg)
@@ -256,21 +239,23 @@ FlashCosmosDrive::submitGcPlan(const ssd::Ftl::GcPlan &plan)
             // before the erase regardless of admission interleaving.
             for (const ssd::Ftl::GcMove &m : moves) {
                 submitProgram(
-                    r, stepProgram(die, plane,
-                                   {engine::StepKind::Copyback,
-                                    [src = m.src.addr, dst = m.dst.addr](
-                                        nand::NandChip &chip) {
-                                        return chip.copyback(src, dst);
-                                    },
-                                    0, 0}));
+                    r, engine::stepProgram(
+                           die, plane,
+                           {engine::StepKind::Copyback,
+                            [src = m.src.addr,
+                             dst = m.dst.addr](nand::NandChip &chip) {
+                                return chip.copyback(src, dst);
+                            },
+                            0, 0}));
             }
             submitProgram(
-                r, stepProgram(die, plane,
-                               {engine::StepKind::Erase,
-                                [plane, block](nand::NandChip &chip) {
-                                    return chip.eraseBlock(plane, block);
-                                },
-                                0, 0}));
+                r, engine::stepProgram(
+                       die, plane,
+                       {engine::StepKind::Erase,
+                        [plane, block](nand::NandChip &chip) {
+                            return chip.eraseBlock(plane, block);
+                        },
+                        0, 0}));
         });
 }
 
@@ -399,7 +384,7 @@ FlashCosmosDrive::submitProgram(RequestState &r, engine::ColumnProgram prog)
     } else {
         prog.onComplete = std::move(done);
     }
-    engine_.submit(std::move(prog), r.counters());
+    engine_.scheduler().submit(std::move(prog), r.counters());
 }
 
 void
@@ -413,7 +398,7 @@ FlashCosmosDrive::submitPageWrite(RequestState &r, const ssd::PhysPage &dst,
     st.run = [addr = dst.addr, data = std::move(page)](nand::NandChip &chip) {
         return chip.programPageEsp(addr, data);
     };
-    submitProgram(r, stepProgram(dst.die, dst.addr.plane, std::move(st)));
+    submitProgram(r, engine::stepProgram(dst.die, dst.addr.plane, std::move(st)));
 }
 
 engine::OrderedChunkStream::Emit
@@ -691,7 +676,7 @@ FlashCosmosDrive::submitReadVector(VectorId id, ResultSink &sink,
         stats,
         [page_list = std::move(page_list), inv = v.inverted](std::size_t j) {
             const ssd::PhysPage &p = page_list[j];
-            engine::ColumnProgram prog = stepProgram(
+            engine::ColumnProgram prog = engine::stepProgram(
                 p.die, p.addr.plane,
                 {engine::StepKind::PageRead,
                  [a = p.addr, inv](nand::NandChip &chip) {

@@ -30,13 +30,15 @@
  *  - each program's result page reaches its onResult callback, and the
  *    caller pastes pages back into the logical result.
  *
- * Async API: callers submit() column programs and drain(). Within a
- * program, steps execute in order on its plane; a program's steps never
- * interleave with another program on the same plane (the per-plane
- * FIFO keeps latch state coherent). Planes — including planes of one
- * die — execute concurrently; cross-plane interleaving follows
- * simulated time with FIFO tie-breaking, so every run is
- * bit-reproducible.
+ * Async API: callers submit column programs to the scheduler
+ * (scheduler().submit()) and drain(). Within a program, steps execute
+ * in order on its plane; a program's steps never interleave with
+ * another program on the same plane (the per-plane FIFO keeps latch
+ * state coherent). Planes — including planes of one die — execute
+ * concurrently; cross-plane interleaving follows simulated time with
+ * FIFO tie-breaking, so every run is bit-reproducible. Steps touch
+ * only their die; onResult/onComplete run in commit order (see
+ * engine/scheduler.h).
  *
  * Replication: operands that Equation-1 locality requires on a die
  * where they are not stored (e.g. a one-page vector combined against
@@ -51,80 +53,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "engine/chip_farm.h"
 #include "engine/scheduler.h"
-#include "util/bitvector.h"
 
 namespace fcos::engine {
-
-/** What a step does — drives stats and energy classification. */
-enum class StepKind : std::uint8_t
-{
-    Sense,    ///< MWS sense command
-    LatchXor, ///< on-chip C := S XOR C
-    PageRead, ///< regular serial page read (fallback path)
-    Program,  ///< page program (data-in or program-from-latch)
-    Copyback, ///< in-plane read + program (GC relocation; no channel)
-    Erase,    ///< block erase (GC capacity reclaim)
-};
-
-/** One die-local step of a column program. */
-struct ColumnStep
-{
-    StepKind kind = StepKind::Sense;
-    /** Functional mutation; returns the op's latency and energy. */
-    std::function<nand::OpResult(nand::NandChip &)> run;
-    /** Channel bytes shipped die -> controller after this step
-     *  (fallback page readout; pipelined with later steps). */
-    std::uint64_t dmaAfterBytes = 0;
-    /** Channel bytes shipped controller -> die before this step
-     *  (program data-in; the die waits for the transfer). */
-    std::uint64_t dmaBeforeBytes = 0;
-};
-
-/**
- * The unit of sharded execution: an ordered step list against one
- * (die, plane) column, with optional result readout.
- */
-struct ColumnProgram
-{
-    std::uint32_t die = 0;
-    std::uint32_t plane = 0;
-    std::vector<ColumnStep> steps;
-
-    /** Read the cache latch out over the channel after the last step
-     *  and hand it to onResult. False for compute-in-place programs
-     *  (program-from-latch) where data never leaves the die. */
-    bool readOutResult = true;
-    /** Receives the result page at the latch-capture instant (the last
-     *  step's completion). The readout DMA is still booked after it,
-     *  but the engine never buffers in-flight pages, which keeps
-     *  streamed (ResultSink) reads O(chunk) when channels back up
-     *  behind fast senses. */
-    std::function<void(BitVector)> onResult;
-    /** Fires once every step (and result readout) completed. */
-    std::function<void()> onComplete;
-};
-
-/** Execution counters in FlashCosmosDrive::ReadStats terms. */
-struct OpStats
-{
-    std::uint64_t mwsCommands = 0; ///< MWS sense commands issued
-    std::uint64_t senses = 0;      ///< total sensing operations
-    std::uint64_t latchXors = 0;   ///< on-chip XOR ops
-    std::uint64_t pageReads = 0;   ///< fallback serial page reads
-    std::uint64_t programs = 0;    ///< page programs
-    std::uint64_t resultPages = 0; ///< pages read out of the chips
-    std::uint64_t copybacks = 0;   ///< GC in-plane page relocations
-    std::uint64_t erases = 0;      ///< GC block erases
-    Time nandTime = 0;             ///< summed NAND busy time
-    double nandEnergyJ = 0.0;      ///< summed NAND energy
-
-    void tally(StepKind kind, const nand::OpResult &op);
-};
 
 class ComputeEngine
 {
@@ -138,14 +72,6 @@ class ComputeEngine
 
     /** Current simulated time (start-of-op timestamps for spans). */
     Time now() const { return scheduler_.queue().now(); }
-
-    /**
-     * Submit one column program. Steps execute in order on the
-     * program's (die, plane) column; the result page (if
-     * readOutResult) reaches onResult when the last step completes,
-     * and onComplete fires once its channel readout has.
-     */
-    void submit(ColumnProgram program, OpStats *stats = nullptr);
 
     /** Run all submitted work; @return cumulative makespan. */
     Time drain() { return scheduler_.drain(); }
@@ -177,12 +103,6 @@ class ComputeEngine
                        OpStats *stats = nullptr,
                        std::function<void()> on_target_done = {});
 
-    /** Single-destination convenience wrapper over broadcastPage(). */
-    void replicatePage(std::uint32_t src_die, const nand::WordlineAddr &src,
-                       std::uint32_t dst_die, const nand::WordlineAddr &dst,
-                       const nand::EspParams &esp = nand::EspParams{},
-                       OpStats *stats = nullptr);
-
     // --- unified timeline / energy ledger ---
     Time makespan() const { return scheduler_.makespan(); }
     Time dieBusyTime(std::uint32_t die) const
@@ -204,15 +124,9 @@ class ComputeEngine
     double totalEnergyJ() const { return scheduler_.energy().total(); }
 
   private:
-    void finishProgram(const std::shared_ptr<ColumnProgram> &state,
-                       OpStats *stats);
-
     ChipFarm farm_;
     CommandScheduler scheduler_;
 };
-
-/** Energy-ledger component a step's joules are booked against. */
-ssd::EnergyComponent energyComponentFor(StepKind kind);
 
 } // namespace fcos::engine
 

@@ -121,7 +121,7 @@ scalingReport(const std::vector<ScalingConfig> &configs,
 
         OpStats stats;
         for (ColumnProgram &prog : programs)
-            eng.submit(std::move(prog), &stats);
+            eng.scheduler().submit(std::move(prog), &stats);
         Time makespan = eng.drain();
 
         bool exact = true;

@@ -6,9 +6,56 @@
 
 namespace fcos::engine {
 
+ssd::EnergyComponent
+energyComponentFor(StepKind kind)
+{
+    switch (kind) {
+      case StepKind::Sense:
+      case StepKind::LatchXor:
+        return ssd::EnergyComponent::NandMws;
+      case StepKind::PageRead:
+        return ssd::EnergyComponent::NandRead;
+      case StepKind::Program:
+      case StepKind::Copyback:
+        return ssd::EnergyComponent::NandProgram;
+      case StepKind::Erase:
+        return ssd::EnergyComponent::NandErase;
+    }
+    return ssd::EnergyComponent::NandRead;
+}
+
+void
+OpStats::tally(StepKind kind, const nand::OpResult &op)
+{
+    nandTime += op.latency;
+    nandEnergyJ += op.energyJ;
+    switch (kind) {
+      case StepKind::Sense:
+        ++mwsCommands;
+        ++senses;
+        break;
+      case StepKind::PageRead:
+        ++senses;
+        ++pageReads;
+        break;
+      case StepKind::LatchXor:
+        ++latchXors;
+        break;
+      case StepKind::Program:
+        ++programs;
+        break;
+      case StepKind::Copyback:
+        ++copybacks;
+        break;
+      case StepKind::Erase:
+        ++erases;
+        break;
+    }
+}
+
 namespace {
 
-/** Span label of a plane op, keyed by its energy component. */
+/** Span label of a step, keyed by its energy component. */
 const char *
 spanName(ssd::EnergyComponent comp)
 {
@@ -84,24 +131,20 @@ CommandScheduler::CommandScheduler(ChipFarm &farm)
 }
 
 void
-CommandScheduler::submitPlaneOp(std::uint32_t die, std::uint32_t plane,
-                                ssd::EnergyComponent comp, DieFn fn,
-                                Callback done,
-                                std::uint64_t pre_dma_bytes,
-                                ExecutedFn executed)
+CommandScheduler::submit(ColumnProgram program, OpStats *stats)
 {
-    fcos_assert(die < farm_.dieCount(), "die %u out of range", die);
-    fcos_assert(plane < planes_per_die_, "plane %u out of range", plane);
-    fcos_assert(fn != nullptr, "plane op without a function");
-    const std::uint32_t col = columnOf(die, plane);
-    auto op = std::make_shared<PendingOp>();
-    op->comp = comp;
-    op->fn = std::move(fn);
-    op->executed = std::move(executed);
-    op->done = std::move(done);
-    op->preDmaBytes = pre_dma_bytes;
-    op->submitted = queue_.now();
-    states_[col].pending.push_back(std::move(op));
+    fcos_assert(!program.steps.empty(), "empty column program");
+    fcos_assert(program.die < farm_.dieCount(),
+                "program targets die %u beyond the farm", program.die);
+    fcos_assert(program.plane < planes_per_die_,
+                "program targets plane %u beyond the die", program.plane);
+    const std::uint32_t die = program.die;
+    const std::uint32_t col = columnOf(die, program.plane);
+    Queued q;
+    q.program = std::make_unique<ColumnProgram>(std::move(program));
+    q.stats = stats;
+    q.submitted = queue_.now();
+    states_[col].pending.push_back(std::move(q));
     prefetchDataIn(die, col);
     pump(die, col);
 }
@@ -109,28 +152,30 @@ CommandScheduler::submitPlaneOp(std::uint32_t die, std::uint32_t plane,
 void
 CommandScheduler::prefetchDataIn(std::uint32_t die, std::uint32_t col)
 {
-    // The head op's program data streams into the plane's cache latch
-    // while the previous op still occupies the array; the latch is the
-    // one-deep buffer that makes this pipelining legal.
+    // The head step's program data streams into the plane's cache
+    // latch while the previous step still occupies the array; the
+    // latch is the one-deep buffer that makes this pipelining legal.
     PlaneState &st = states_[col];
     if (st.pending.empty())
         return;
-    const std::shared_ptr<PendingOp> &head = st.pending.front();
-    if (head->preDmaBytes == 0 || head->dmaIssued)
+    Queued &head = st.pending.front();
+    const std::uint64_t bytes = head.current().dmaBeforeBytes;
+    if (bytes == 0 || head.dmaIssued)
         return;
-    head->dmaIssued = true;
+    head.dmaIssued = true;
     const std::uint32_t ch = farm_.channelOfDie(die);
     const ssd::IoParams &io = farm_.config().io;
-    energy_.add(ssd::EnergyComponent::ChannelDma,
-                io.channelEnergyJ(head->preDmaBytes));
-    const Time dur = io.channelTime(head->preDmaBytes);
+    energy_.add(ssd::EnergyComponent::ChannelDma, io.channelEnergyJ(bytes));
+    const Time dur = io.channelTime(bytes);
     Time finish = channels_[ch].acquire(queue_.now(), dur);
     ++dma_ops_;
     if (obs::traceLive(trace_epoch_))
         obs::trace().span(channel_tracks_[ch], "data-in", finish - dur,
                           finish);
-    queue_.schedule(finish, [this, die, col, op = head] {
-        op->dmaDone = true;
+    queue_.schedule(finish, [this, die, col] {
+        // A step never starts before its data lands, so the head is
+        // still the step this transfer was issued for.
+        states_[col].pending.front().dmaDone = true;
         pump(die, col);
     });
 }
@@ -141,15 +186,15 @@ CommandScheduler::pump(std::uint32_t die, std::uint32_t col)
     PlaneState &st = states_[col];
     if (st.running || st.pending.empty())
         return;
-    const std::shared_ptr<PendingOp> &head = st.pending.front();
-    if (head->preDmaBytes != 0 && !head->dmaDone)
+    const Queued &head = st.pending.front();
+    if (head.current().dmaBeforeBytes != 0 && !head.dmaDone)
         return; // the data-in completion will pump again
     st.running = true;
     // Defer to the event queue even for an idle plane so that execution
     // order is decided purely by simulated time + FIFO tie-breaking,
-    // never by the C++ call stack. The die function is the sharded work
-    // phase (shard = die, estimate = page bits), everything else
-    // commits serially.
+    // never by the C++ call stack. The step is the sharded work phase
+    // (shard = die, estimate = page bits), everything else commits
+    // serially.
     queue_.scheduleSharded(
         queue_.now(), die, page_bits_,
         [this, die, col] { computeOp(die, col); },
@@ -160,13 +205,13 @@ void
 CommandScheduler::computeOp(std::uint32_t die, std::uint32_t col)
 {
     // Worker phase: may run concurrently with other dies' computeOps.
-    // Only the die's chip and this op's private result are touched; the
-    // op stays at the queue head (popping belongs to the commit phase,
-    // where earlier-seq commits must still observe it as the head).
+    // Only the die's chip and this entry's result are touched; the
+    // step stays at the queue head (advancing belongs to the commit
+    // phase, where earlier-seq commits must still observe it).
     PlaneState &st = states_[col];
     fcos_assert(!st.pending.empty(), "plane worker woke without work");
-    PendingOp &op = *st.pending.front();
-    op.result = op.fn(farm_.chip(die));
+    Queued &q = st.pending.front();
+    q.result = q.current().run(farm_.chip(die));
 }
 
 void
@@ -174,51 +219,98 @@ CommandScheduler::commitOp(std::uint32_t die, std::uint32_t col)
 {
     PlaneState &st = states_[col];
     fcos_assert(!st.pending.empty(), "plane commit woke without work");
-    std::shared_ptr<PendingOp> op = std::move(st.pending.front());
-    st.pending.pop_front();
+    Queued &q = st.pending.front();
+    const StepKind kind = q.current().kind;
+    const std::uint64_t dma_after = q.current().dmaAfterBytes;
+    const nand::OpResult result = q.result;
+    const Time submitted = q.submitted;
+    OpStats *const stats = q.stats;
+    // A program leaves the FIFO with its last step; the completion
+    // then owns it.
+    std::unique_ptr<ColumnProgram> done;
+    if (++q.step == q.program->steps.size()) {
+        done = std::move(q.program);
+        st.pending.pop_front();
+    } else {
+        q.dmaIssued = false;
+        q.dmaDone = false;
+    }
 
-    // The plane just freed its cache latch for the *next* op's data-in;
-    // start that transfer so it overlaps this op's array time.
+    // The plane just freed its cache latch for the *next* step's
+    // data-in; start that transfer so it overlaps this step's array
+    // time.
     prefetchDataIn(die, col);
 
-    if (op->executed)
-        op->executed(op->result);
-    energy_.add(op->comp, op->result.energyJ);
-    Time finish = planes_[col].acquire(queue_.now(), op->result.latency);
+    // Stats are shared across dies, so the tally happens here, never
+    // inside the (possibly parallel) step.
+    if (stats)
+        stats->tally(kind, result);
+    const ssd::EnergyComponent comp = energyComponentFor(kind);
+    energy_.add(comp, result.energyJ);
+    Time finish = planes_[col].acquire(queue_.now(), result.latency);
     ++die_ops_;
-    const Time start = finish - op->result.latency;
+    const Time start = finish - result.latency;
     if (obs::traceLive(trace_epoch_)) {
-        obs::trace().span(plane_tracks_[col], spanName(op->comp), start,
+        obs::trace().span(plane_tracks_[col], spanName(comp), start,
                           finish);
-        // Queue-wait windows of ops stacked behind one plane overlap,
+        // Queue-wait windows of steps stacked behind one plane overlap,
         // so they live on the plane's ".wait" track as X overlays.
-        if (start > op->submitted)
-            obs::trace().overlay(wait_tracks_[col], "wait",
-                                 op->submitted, start);
+        if (start > submitted)
+            obs::trace().overlay(wait_tracks_[col], "wait", submitted,
+                                 start);
     }
     if (obs::metricsLive(m_epoch_)) {
-        obs::Histogram *&h =
-            op_hist_[static_cast<std::size_t>(op->comp)];
+        obs::Histogram *&h = op_hist_[static_cast<std::size_t>(comp)];
         if (!h)
             h = &obs::metrics().histogram(
                 std::string("engine.op_latency.") +
-                ssd::energyComponentName(op->comp));
-        h->record(op->result.latency);
+                ssd::energyComponentName(comp));
+        h->record(result.latency);
         if (!wait_hist_)
             wait_hist_ = &obs::metrics().histogram("engine.queue_wait");
-        wait_hist_->record(start - op->submitted);
+        wait_hist_->record(start - submitted);
     }
-    // Capturing the shared op (16 bytes) instead of moving its `done`
-    // callable (64) keeps this closure inside the SmallFn inline
-    // window — the completion event is the hottest allocation site.
-    queue_.schedule(finish, [this, die, col, op = std::move(op)] {
-        // The completion callback observes the plane's latches before
-        // any later op on this plane mutates them.
-        if (op->done)
-            op->done();
-        states_[col].running = false;
-        pump(die, col);
+    queue_.schedule(finish, [this, die, col, dma_after, stats,
+                             done = std::move(done)]() mutable {
+        completeStep(die, col, dma_after, std::move(done), stats);
     });
+}
+
+void
+CommandScheduler::completeStep(std::uint32_t die, std::uint32_t col,
+                               std::uint64_t dma_after,
+                               std::unique_ptr<ColumnProgram> done,
+                               OpStats *stats)
+{
+    // This runs before any later step on the plane starts, so a
+    // readout observes the latches this step left.
+    if (!done || !done->readOutResult) {
+        // With no readout phase, a trailing transfer is the program's
+        // final timeline event: completion rides it, so per-request
+        // accounting sees the instant the data actually lands.
+        if (dma_after > 0)
+            submitDma(die, dma_after,
+                      done ? std::move(done->onComplete) : Callback{});
+        else if (done && done->onComplete)
+            done->onComplete();
+    } else {
+        if (dma_after > 0)
+            submitDma(die, dma_after);
+        // Capture the cache latch now — at the plane's completion
+        // instant — before any later program on this plane can
+        // overwrite it. Handing the payload over now keeps it out of
+        // the DMA closure; the transfer still occupies the channel and
+        // books its time and energy.
+        BitVector page = farm_.chip(die).dataOut(done->plane);
+        if (stats)
+            ++stats->resultPages;
+        if (done->onResult)
+            done->onResult(std::move(page));
+        submitDma(die, farm_.geometry().pageBytes,
+                  std::move(done->onComplete));
+    }
+    states_[col].running = false;
+    pump(die, col);
 }
 
 void
@@ -347,23 +439,6 @@ CommandScheduler::channelBusyTime(std::uint32_t channel) const
     fcos_assert(channel < channels_.size(), "channel %u out of range",
                 channel);
     return channels_[channel].busyTime();
-}
-
-Time
-CommandScheduler::accelBusyTime(std::uint32_t channel) const
-{
-    fcos_assert(channel < accel_ports_.size(), "channel %u out of range",
-                channel);
-    return accel_ports_[channel].busyTime();
-}
-
-Time
-CommandScheduler::maxDieBusyTime() const
-{
-    Time m = 0;
-    for (std::uint32_t d = 0; d < farm_.dieCount(); ++d)
-        m = std::max(m, dieBusyTime(d));
-    return m;
 }
 
 Time

@@ -2,32 +2,45 @@
  * @file
  * Asynchronous, deterministic command scheduler over the chip farm.
  *
- * The scheduler is the engine's event-driven spine: callers submit
- * plane operations (a functional chip mutation that reports its own
- * latency and energy) and channel/external transfers; the scheduler
- * books them on the shared Facility resources of sim/event_queue and
- * fires completion callbacks at the simulated completion times.
+ * The scheduler is the engine's event-driven spine. Every NAND-side
+ * primitive (MWS sense, latch XOR, page read, program, copyback,
+ * erase) is a step of a ColumnProgram: an ordered step list against
+ * one (die, plane) column. Callers submit() programs, plus channel,
+ * external and accelerator transfers; the scheduler books them on the
+ * shared Facility resources of sim/event_queue and fires completion
+ * callbacks at the simulated completion times.
  *
  * Execution model:
  *
- *  - each (die, plane) is one Facility; operations submitted to a
- *    plane execute in submission order (FIFO), the functional mutation
- *    running at the simulated instant the plane becomes free — so
- *    per-plane sense sequences (which seed the error model) are
- *    identical to a fully serialized run. Planes of one die are
- *    independent: they sense concurrently;
+ *  - each (die, plane) is one Facility with one FIFO of programs; a
+ *    program's steps run in order and never interleave with another
+ *    program on the same plane, each step's die mutation running at
+ *    the simulated instant the plane becomes free — so per-plane sense
+ *    sequences (which seed the error model) are identical to a fully
+ *    serialized run. Planes of one die are independent: they sense
+ *    concurrently;
+ *
+ *  - a step's kind decides everything the scheduler books for it: the
+ *    energy component its joules land in (energyComponentFor), its
+ *    trace span and latency histogram, and its OpStats tally;
  *
  *  - each channel is one Facility shared by its dies; result readout
  *    and data-in transfers serialize on it in arrival order — this is
  *    where multi-die scaling bends over (the contention the
  *    engine-scaling bench measures);
  *
- *  - a plane op may require a data-in transfer first (`preDmaBytes`,
+ *  - a step may require a data-in transfer first (dmaBeforeBytes,
  *    program data moving controller -> die). The transfer lands in the
  *    plane's cache latch, so it *pipelines behind the latch*: while
- *    the current operation occupies the plane's array, the next
- *    queued operation's data streams in over the channel. Only when
- *    the plane is idle does the op wait for its transfer;
+ *    the current step occupies the plane's array, the next queued
+ *    step's data streams in over the channel. Only when the plane is
+ *    idle does the step wait for its transfer. A step's dmaAfterBytes
+ *    readout is issued at its completion;
+ *
+ *  - after a program's last step, its result page (readOutResult) is
+ *    captured from the cache latch and handed to onResult, then read
+ *    out over the channel; onComplete fires when the program's last
+ *    timeline event (readout or trailing transfer) lands;
  *
  *  - the external (PCIe) link and the per-channel ISP accelerator
  *    ports are additional facilities so platform drivers (OSP/ISP
@@ -37,22 +50,22 @@
  *    bit-reproducible: same submissions => same interleaving, same
  *    timeline, same energy ledger.
  *
- * Parallel host execution (ssd::SsdConfig::workers > 1) shards the die
- * functions across a WorkerPool: a plane op's functional mutation is
- * the *work* phase of a sharded two-phase event (shard = die, so one
- * die's mutations never reorder or run concurrently), while everything
- * that touches shared simulation state — facility bookings, the energy
- * ledger, completion callbacks, new events — stays in the serial
- * commit phase, executed in (when, seq) order. Die functions must
- * therefore touch only their die's state (chip, latches, per-plane
- * sense counters) plus op-private buffers; cross-die and host-shared
- * effects belong in the `executed`/`done` callbacks. This is what
- * keeps 2- and 4-worker runs bit-for-bit identical to a serial run.
- * Each op carries its page bits as its work estimate, so the queue
- * hands a wave to the pool only when it spans two or more dies' lanes
- * and its pages outweigh a pool round (EventQueue::kMinDispatchWork):
- * Table-1 waves (16-KiB pages) dispatch, while a tiny-geometry drive's
- * few 256-bit ops run inline on the caller.
+ * Parallel host execution (ssd::SsdConfig::workers > 1) shards the
+ * steps across a WorkerPool: a step's run() is the *work* phase of a
+ * sharded two-phase event (shard = die, so one die's steps never
+ * reorder or run concurrently), while everything that touches shared
+ * simulation state — facility bookings, the energy ledger, stats
+ * tallies, new events — stays in the serial commit phase, executed in
+ * (when, seq) order. The contract for callers is therefore: steps
+ * touch only their die (chip, latches, per-plane sense counters) and
+ * buffers private to their program; onResult and onComplete run in
+ * commit order and may touch anything. This is what keeps 2- and
+ * 4-worker runs bit-for-bit identical to a serial run. Each step
+ * carries its page bits as its work estimate, so the queue hands a
+ * wave to the pool only when it spans two or more dies' lanes and its
+ * pages outweigh a pool round (EventQueue::kMinDispatchWork): Table-1
+ * waves (16-KiB pages) dispatch, while a tiny-geometry drive's few
+ * 256-bit steps run inline on the caller.
  *
  * Energy is booked into a ssd::EnergyMeter per activity, giving one
  * ledger spanning NAND ops, channel movement, the external link, and
@@ -73,8 +86,95 @@
 #include "sim/event_queue.h"
 #include "sim/worker_pool.h"
 #include "ssd/energy.h"
+#include "util/bitvector.h"
 
 namespace fcos::engine {
+
+/** What a step does — decides its energy component, trace span and
+ *  stats tally. */
+enum class StepKind : std::uint8_t
+{
+    Sense,    ///< MWS sense command
+    LatchXor, ///< on-chip C := S XOR C
+    PageRead, ///< regular serial page read (fallback path)
+    Program,  ///< page program (data-in or program-from-latch)
+    Copyback, ///< in-plane read + program (GC relocation; no channel)
+    Erase,    ///< block erase (GC capacity reclaim)
+};
+
+/** Energy-ledger component a step's joules are booked against. */
+ssd::EnergyComponent energyComponentFor(StepKind kind);
+
+/** One die-local step of a column program. */
+struct ColumnStep
+{
+    StepKind kind = StepKind::Sense;
+    /** Die mutation; returns the op's latency and energy. Runs in the
+     *  (possibly parallel) worker phase: it must only touch its die's
+     *  state and buffers private to its program. */
+    std::function<nand::OpResult(nand::NandChip &)> run;
+    /** Channel bytes shipped die -> controller after this step
+     *  (fallback page readout; pipelined with later steps). */
+    std::uint64_t dmaAfterBytes = 0;
+    /** Channel bytes shipped controller -> die before this step
+     *  (program data-in; the die waits for the transfer). */
+    std::uint64_t dmaBeforeBytes = 0;
+};
+
+/**
+ * The unit of scheduling: an ordered step list against one
+ * (die, plane) column, with optional result readout.
+ */
+struct ColumnProgram
+{
+    std::uint32_t die = 0;
+    std::uint32_t plane = 0;
+    std::vector<ColumnStep> steps;
+
+    /** Read the cache latch out over the channel after the last step
+     *  and hand it to onResult. False for compute-in-place programs
+     *  (program-from-latch) where data never leaves the die. */
+    bool readOutResult = true;
+    /** Receives the result page at the latch-capture instant (the last
+     *  step's completion). The readout DMA is still booked after it,
+     *  but the scheduler never buffers in-flight pages, which keeps
+     *  streamed (ResultSink) reads O(chunk) when channels back up
+     *  behind fast senses. */
+    std::function<void(BitVector)> onResult;
+    /** Fires once every step (and result readout or trailing
+     *  transfer) completed. */
+    EventQueue::Callback onComplete;
+};
+
+/** A one-step program on (@p die, @p plane) whose result stays on the
+ *  die. */
+inline ColumnProgram
+stepProgram(std::uint32_t die, std::uint32_t plane, ColumnStep step)
+{
+    ColumnProgram p;
+    p.die = die;
+    p.plane = plane;
+    p.readOutResult = false;
+    p.steps.push_back(std::move(step));
+    return p;
+}
+
+/** Execution counters in FlashCosmosDrive::ReadStats terms. */
+struct OpStats
+{
+    std::uint64_t mwsCommands = 0; ///< MWS sense commands issued
+    std::uint64_t senses = 0;      ///< total sensing operations
+    std::uint64_t latchXors = 0;   ///< on-chip XOR ops
+    std::uint64_t pageReads = 0;   ///< fallback serial page reads
+    std::uint64_t programs = 0;    ///< page programs
+    std::uint64_t resultPages = 0; ///< pages read out of the chips
+    std::uint64_t copybacks = 0;   ///< GC in-plane page relocations
+    std::uint64_t erases = 0;      ///< GC block erases
+    Time nandTime = 0;             ///< summed NAND busy time
+    double nandEnergyJ = 0.0;      ///< summed NAND energy
+
+    void tally(StepKind kind, const nand::OpResult &op);
+};
 
 class CommandScheduler
 {
@@ -83,13 +183,6 @@ class CommandScheduler
      *  payloads, so submitting a lambda here never heap-allocates on
      *  its way into a sim::Event. */
     using Callback = EventQueue::Callback;
-    /** A functional die mutation reporting its latency and energy.
-     *  Runs in the (possibly parallel) worker phase: it must only
-     *  touch its die's state and op-private buffers. */
-    using DieFn = std::function<nand::OpResult(nand::NandChip &)>;
-    /** Commit-phase observer of a die op's result (runs serially in
-     *  deterministic order; may touch shared state). */
-    using ExecutedFn = std::function<void(const nand::OpResult &)>;
 
     explicit CommandScheduler(ChipFarm &farm);
 
@@ -98,35 +191,19 @@ class CommandScheduler
     ssd::EnergyMeter &energy() { return energy_; }
     const ssd::EnergyMeter &energy() const { return energy_; }
 
-    /** Host worker lanes sharding the die functions (1 = serial). */
+    /** Host worker lanes sharding the steps (1 = serial). */
     std::uint32_t workerCount() const
     {
         return pool_ ? pool_->workerCount() : 1;
     }
 
     /**
-     * Submit one plane operation. @p fn runs against the die's chip
-     * when plane @p plane of die @p die becomes free; @p done fires at
-     * the op's simulated completion, before any later op on the same
-     * plane starts.
-     *
-     * An optional @p pre_dma_bytes data-in transfer (controller -> die)
-     * precedes the op. The transfer is issued as soon as the op is
-     * next in the plane's queue, overlapping the previous op on the
-     * plane (cache-latch pipelining); the op itself starts at
-     * max(plane free, transfer complete).
-     *
-     * @param comp      energy component the op's joules are booked
-     *                  against
-     * @param executed  commit-phase hook receiving the op's OpResult
-     *                  (shared-state accounting such as stats tallies
-     *                  belongs here, not inside @p fn)
+     * Submit one column program. Its steps run in order on the
+     * program's (die, plane) column, behind every program submitted
+     * there before it. @p stats, if given, is tallied per step in the
+     * commit phase and counts the result page.
      */
-    void submitPlaneOp(std::uint32_t die, std::uint32_t plane,
-                       ssd::EnergyComponent comp, DieFn fn,
-                       Callback done = {},
-                       std::uint64_t pre_dma_bytes = 0,
-                       ExecutedFn executed = {});
+    void submit(ColumnProgram program, OpStats *stats = nullptr);
 
     /**
      * Move @p bytes between die and controller over the die's channel;
@@ -165,15 +242,10 @@ class CommandScheduler
     Time channelBusyTime(std::uint32_t channel) const;
     /** Busy time of the external link. */
     Time externalBusyTime() const { return external_.busyTime(); }
-    /** Busy time of one channel's accelerator port. */
-    Time accelBusyTime(std::uint32_t channel) const;
-    /** Maximum die busy time across the farm. */
-    Time maxDieBusyTime() const;
     /** Maximum plane busy time across the farm. */
     Time maxPlaneBusyTime() const;
 
     std::uint64_t dieOpsExecuted() const { return die_ops_; }
-    std::uint64_t dmaTransfers() const { return dma_ops_; }
 
     /**
      * Trace process (pid) of the drive-level tracks. The scheduler
@@ -186,13 +258,13 @@ class CommandScheduler
     std::uint64_t traceEpoch() const { return trace_epoch_; }
 
   private:
-    struct PendingOp
+    /** A program in its plane's FIFO, at the step it runs next. */
+    struct Queued
     {
-        ssd::EnergyComponent comp;
-        DieFn fn;
-        ExecutedFn executed;
-        Callback done;
-        std::uint64_t preDmaBytes = 0;
+        std::unique_ptr<ColumnProgram> program;
+        OpStats *stats = nullptr;
+        std::size_t step = 0;
+        /** The step's data-in transfer was issued / has landed. */
         bool dmaIssued = false;
         bool dmaDone = false;
         /** Submission instant, for queue-wait spans/histograms. */
@@ -200,11 +272,13 @@ class CommandScheduler
         /** Filled by the worker phase, consumed by the commit phase
          *  (the pool barrier orders the two). */
         nand::OpResult result;
+
+        const ColumnStep &current() const { return program->steps[step]; }
     };
 
     struct PlaneState
     {
-        std::deque<std::shared_ptr<PendingOp>> pending;
+        std::deque<Queued> pending;
         bool running = false;
     };
 
@@ -213,21 +287,27 @@ class CommandScheduler
         return die * planes_per_die_ + plane;
     }
 
-    /** Issue the head op's data-in transfer if it has not started. */
+    /** Issue the head step's data-in transfer if it has not started. */
     void prefetchDataIn(std::uint32_t die, std::uint32_t col);
-    /** Start the next queued op of column @p col, if it is ready. */
+    /** Start the head step of column @p col, if it is ready. */
     void pump(std::uint32_t die, std::uint32_t col);
-    /** Worker phase: run the head op's die function (die-local). */
+    /** Worker phase: run the head step (die-local). */
     void computeOp(std::uint32_t die, std::uint32_t col);
     /** Commit phase: book time/energy and schedule the completion. */
     void commitOp(std::uint32_t die, std::uint32_t col);
+    /** Completion of one step: its trailing transfer and, when it
+     *  was its program's last (@p done non-null), the readout and
+     *  the program's callbacks. Then the plane takes its next step. */
+    void completeStep(std::uint32_t die, std::uint32_t col,
+                      std::uint64_t dma_after,
+                      std::unique_ptr<ColumnProgram> done, OpStats *stats);
 
     ChipFarm &farm_;
     EventQueue queue_;
     std::unique_ptr<WorkerPool> pool_; ///< non-null when workers > 1
     ssd::EnergyMeter energy_;
     std::uint32_t planes_per_die_;
-    /** Every plane op's work estimate for the event queue's dispatch
+    /** Every step's work estimate for the event queue's dispatch
      *  gate: one sense covers a whole page, whatever the operands. */
     std::uint32_t page_bits_;
     std::vector<Facility> planes_;   ///< one per (die, plane) column
@@ -251,7 +331,7 @@ class CommandScheduler
     std::vector<std::uint32_t> channel_tracks_; ///< per channel bus
     std::vector<std::uint32_t> accel_tracks_;   ///< per channel port
     std::uint32_t external_track_ = 0;
-    /** Lazily resolved per-op-kind latency histograms + queue wait
+    /** Lazily resolved per-component latency histograms + queue wait
      *  (commit phase is serial, so registration there is safe). */
     obs::Histogram *
         op_hist_[static_cast<std::size_t>(ssd::EnergyComponent::kCount)] =

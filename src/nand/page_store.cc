@@ -90,57 +90,64 @@ PageImage::inlined(std::size_t bits) const
     std::construct_at(&img.words_);
     // The stored bits are the uninverted payload: materialize() applies
     // inverted_ to every kind alike.
-    const BitVector v = (inverted_ ? inverted() : *this).materialize(bits);
-    std::ranges::copy(v.words(), img.words_.begin());
+    generate(std::span(img.words_).first((bits + 63) / 64), bits);
     return img;
 }
 
 BitVector
 PageImage::materialize(std::size_t bits) const
 {
-    BitVector out;
+    BitVector out(bits);
+    generate(out.words(), bits);
+    if (inverted_)
+        out.invert();
+    return out;
+}
+
+void
+PageImage::generate(std::span<std::uint64_t> out, std::size_t bits) const
+{
     switch (kind_) {
       case Kind::Inline:
         fcos_assert(bits == bits_,
                     "inline page image is %u bits, page is %zu bits",
                     unsigned{bits_}, bits);
-        out = BitVector(bits);
-        std::copy_n(words_.begin(), out.words().size(),
-                    out.words().begin());
+        std::copy_n(words_.begin(), out.size(), out.begin());
         break;
       case Kind::Fill:
-        out = BitVector(bits, flag_);
+        std::ranges::fill(out, flag_ ? ~std::uint64_t{0} : 0);
         break;
-      case Kind::Random: {
-        out = BitVector(bits);
-        std::vector<std::uint64_t> &w = out.words();
-        if (gen_.pOne == 0.5 && w.size() <= Mt19937_64::kMaxFirstOutputs) {
-            // At p = 0.5 randomize() takes one output of a fresh engine
-            // per word, so a small page needs only a prefix of the
-            // stream, not the full 312-word seed and twist.
-            Mt19937_64::firstOutputs(gen_.seed, w.data(), w.size());
-            if (bits % 64 != 0)
-                w.back() &= (std::uint64_t{1} << (bits % 64)) - 1;
+      case Kind::Random:
+        if (gen_.pOne == 0.5 && out.size() <= Mt19937_64::kMaxFirstOutputs) {
+            // At p = 0.5 BitVector::randomize() takes one output of a
+            // fresh engine per word, so a small page needs only a
+            // prefix of the stream, not the full 312-word seed and
+            // twist.
+            Mt19937_64::firstOutputs(gen_.seed, out.data(), out.size());
         } else {
             Rng rng = Rng::seeded(gen_.seed);
-            out.randomize(rng, gen_.pOne);
+            if (gen_.pOne == 0.5)
+                rng.fillU64(out.data(), out.size());
+            else
+                rng.fillBernoulli(out.data(), bits, gen_.pOne);
         }
         break;
-      }
-      case Kind::Checkered:
-        out = BitVector(bits);
-        out.fillCheckered(flag_);
+      case Kind::Checkered: {
+        // 0101.. pattern, as BitVector::fillCheckered: even bits take
+        // the first value.
+        constexpr std::uint64_t even = 0x5555555555555555ULL;
+        std::ranges::fill(out, flag_ ? even : ~even);
         break;
+      }
       case Kind::Dense:
         fcos_assert(payload_->size() == bits,
                     "dense page image is %zu bits, page is %zu bits",
                     payload_->size(), bits);
-        out = *payload_;
+        std::ranges::copy(payload_->words(), out.begin());
         break;
     }
-    if (inverted_)
-        out.invert();
-    return out;
+    if (bits % 64 != 0)
+        out.back() &= (std::uint64_t{1} << (bits % 64)) - 1;
 }
 
 std::size_t

@@ -32,6 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "nand/config.h"
@@ -144,6 +145,11 @@ class PageImage
         std::uint64_t seed = 0;
         double pOne = 0.5;
     };
+
+    /** Write the uninverted page at @p bits width into @p out, one
+     *  word per 64 bits, the tail bits past @p bits zero: the one
+     *  generator path behind materialize() and inlined(). */
+    void generate(std::span<std::uint64_t> out, std::size_t bits) const;
 
     /** Take @p other's kind, flags and payload (copied or moved),
      *  starting the lifetime of the union member kind_ names. */

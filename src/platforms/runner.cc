@@ -86,18 +86,22 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
     const Time t_mws = cfg.timings.tMwsFixed;
     const double e_read = pageReadEnergy(cfg);
 
-    // A timing-only plane op: occupies plane @p p for @p dur, booking
-    // @p joules against @p comp.
+    // A timing-only plane op: one @p kind step occupying plane @p p
+    // for @p dur and booking @p joules; @p done fires at its
+    // completion.
     auto plane_op = [&sched, planes_per_die](
                         std::uint32_t p, Time dur, double joules,
-                        ssd::EnergyComponent comp,
+                        engine::StepKind kind,
                         engine::CommandScheduler::Callback done) {
-        sched.submitPlaneOp(
-            p / planes_per_die, p % planes_per_die, comp,
-            [dur, joules](nand::NandChip &) {
-                return nand::OpResult{dur, joules};
-            },
-            std::move(done));
+        engine::ColumnProgram prog = engine::stepProgram(
+            p / planes_per_die, p % planes_per_die,
+            {kind,
+             [dur, joules](nand::NandChip &) {
+                 return nand::OpResult{dur, joules};
+             },
+             0, 0});
+        prog.onComplete = std::move(done);
+        sched.submit(std::move(prog));
     };
 
     std::uint64_t sense_ops = 0;
@@ -129,7 +133,7 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
                         sense_ops += rows;
                         plane_op(
                             p, rows * t_read, rows * e_read,
-                            ssd::EnergyComponent::NandRead,
+                            engine::StepKind::PageRead,
                             [&sched, &host, p, planes_per_die, bytes] {
                                 sched.submitDma(
                                     p / planes_per_die, bytes,
@@ -158,7 +162,7 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
                         const bool out = last && batch.resultToHost;
                         plane_op(
                             p, rows * t_read, rows * e_read,
-                            ssd::EnergyComponent::NandRead,
+                            engine::StepKind::PageRead,
                             [&sched, to_host, p, planes_per_die, bytes,
                              out] {
                                 sched.submitDma(
@@ -217,8 +221,8 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
                         static_cast<double>(rows * senses_per_row) *
                             e_sense,
                         kind == PlatformKind::ParaBit
-                            ? ssd::EnergyComponent::NandRead
-                            : ssd::EnergyComponent::NandMws,
+                            ? engine::StepKind::PageRead
+                            : engine::StepKind::Sense,
                         [&sched, to_host, p, planes_per_die, bytes, out] {
                             if (!out)
                                 return;
@@ -592,7 +596,7 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                             });
                     };
                 }
-                eng.submit(std::move(prog));
+                sched.submit(std::move(prog));
             }
         }
         block_base += static_cast<std::uint32_t>(shape.rows * row_blocks);

@@ -46,7 +46,7 @@ EventQueue::siftDown(std::size_t i)
 }
 
 std::uint32_t
-EventQueue::park(Event ev)
+EventQueue::park(Event &&ev)
 {
     if (free_slots_.empty()) {
         slots_.push_back(std::move(ev));
@@ -59,7 +59,7 @@ EventQueue::park(Event ev)
 }
 
 void
-EventQueue::push(Time when, Event ev)
+EventQueue::push(Time when, Event &&ev)
 {
     heap_.push_back(Key{when, next_seq_++, park(std::move(ev))});
     siftUp(heap_.size() - 1);
@@ -119,7 +119,7 @@ EventQueue::debugCheckPath(std::size_t i) const
 // --------------------------------------------------------------------------
 
 void
-EventQueue::enqueue(Time when, Event ev)
+EventQueue::enqueue(Time when, Event &&ev)
 {
     fcos_assert(!in_worker_phase_,
                 "worker-phase code must not schedule events");

@@ -197,10 +197,10 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    void enqueue(Time when, Event ev);
-    void push(Time when, Event ev);
+    void enqueue(Time when, Event &&ev);
+    void push(Time when, Event &&ev);
     /** Store @p ev in a free slot of slots_ and return the slot. */
-    std::uint32_t park(Event ev);
+    std::uint32_t park(Event &&ev);
     Event popMin();
     void siftUp(std::size_t i);
     /** @return the heap index the key at @p i came to rest at. */

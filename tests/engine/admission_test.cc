@@ -26,6 +26,20 @@ smallFarm(std::uint32_t channels, std::uint32_t dies)
     return fc;
 }
 
+/** A one-step program occupying (@p die, plane 0) for @p latency;
+ *  @p done fires at its completion. */
+ColumnProgram
+timedRead(std::uint32_t die, Time latency, CommandScheduler::Callback done)
+{
+    ColumnProgram prog = stepProgram(
+        die, 0,
+        {StepKind::PageRead,
+         [latency](nand::NandChip &) { return nand::OpResult{latency, 0.0}; },
+         0, 0});
+    prog.onComplete = std::move(done);
+    return prog;
+}
+
 /** Harness: scheduler over a farm plus an event log of request
  *  lifecycles (admission order, timestamps). */
 struct Rig
@@ -48,12 +62,8 @@ struct Rig
                 admitted.push_back(tag);
                 admit_time.push_back(sched.queue().now());
                 rq.addWork(id);
-                sched.submitPlaneOp(
-                    die, 0, ssd::EnergyComponent::NandRead,
-                    [us](nand::NandChip &) {
-                        return nand::OpResult{usToTime(us), 0.0};
-                    },
-                    [this, id] { rq.workDone(id); });
+                sched.submit(timedRead(die, usToTime(us),
+                                       [this, id] { rq.workDone(id); }));
             },
             [this, tag](const RequestQueue::Outcome &oc) {
                 completed.push_back(tag);
@@ -202,13 +212,9 @@ TEST(AdmissionTest, MultiUnitRequestCompletesAtItsLastUnit)
         [&rig](RequestId rid) {
             for (std::uint32_t die = 0; die < 2; ++die) {
                 rig.rq.addWork(rid);
-                rig.sched.submitPlaneOp(
-                    die, 0, ssd::EnergyComponent::NandRead,
-                    [die](nand::NandChip &) {
-                        return nand::OpResult{usToTime(die ? 30.0 : 10.0),
-                                              0.0};
-                    },
-                    [&rig, rid] { rig.rq.workDone(rid); });
+                rig.sched.submit(
+                    timedRead(die, usToTime(die ? 30.0 : 10.0),
+                              [&rig, rid] { rig.rq.workDone(rid); }));
             }
         },
         [&rig](const RequestQueue::Outcome &oc) {

@@ -9,7 +9,9 @@
 
 #include "core/drive.h"
 #include "engine/engine.h"
+#include "obs/obs.h"
 #include "tests/support/random_fixture.h"
+#include "tests/support/trace_check.h"
 
 namespace fcos::engine {
 namespace {
@@ -22,6 +24,22 @@ smallFarm(std::uint32_t channels, std::uint32_t dies)
     fc.dies = dies;
     fc.geometry = nand::Geometry::tiny();
     return fc;
+}
+
+/** A one-step program on (@p die, @p plane) that runs @p run. */
+ColumnProgram
+oneStep(std::uint32_t die, std::uint32_t plane, StepKind kind,
+        std::function<nand::OpResult(nand::NandChip &)> run,
+        std::uint64_t dma_before = 0)
+{
+    return stepProgram(die, plane, {kind, std::move(run), 0, dma_before});
+}
+
+/** A die-free step that occupies its plane for @p us. */
+nand::OpResult
+busyFor(double us)
+{
+    return nand::OpResult{usToTime(us), 0.0};
 }
 
 TEST(ChipFarmTest, TopologyMapsDiesAndColumns)
@@ -43,11 +61,9 @@ TEST(SchedulerTest, IndependentDiesRunInParallel)
 {
     ChipFarm farm(smallFarm(2, 1));
     CommandScheduler sched(farm);
-    auto op = [](nand::NandChip &) {
-        return nand::OpResult{usToTime(10.0), 0.0};
-    };
-    sched.submitPlaneOp(0, 0, ssd::EnergyComponent::NandRead, op);
-    sched.submitPlaneOp(1, 0, ssd::EnergyComponent::NandRead, op);
+    auto op = [](nand::NandChip &) { return busyFor(10.0); };
+    sched.submit(oneStep(0, 0, StepKind::PageRead, op));
+    sched.submit(oneStep(1, 0, StepKind::PageRead, op));
     EXPECT_EQ(sched.drain(), usToTime(10.0));
     EXPECT_EQ(sched.dieBusyTime(0), usToTime(10.0));
     EXPECT_EQ(sched.dieBusyTime(1), usToTime(10.0));
@@ -59,11 +75,9 @@ TEST(SchedulerTest, PlanesOfOneDieSenseConcurrently)
     // overlap on the timeline (per-plane facilities).
     ChipFarm farm(smallFarm(1, 1));
     CommandScheduler sched(farm);
-    auto op = [](nand::NandChip &) {
-        return nand::OpResult{usToTime(10.0), 0.0};
-    };
-    sched.submitPlaneOp(0, 0, ssd::EnergyComponent::NandRead, op);
-    sched.submitPlaneOp(0, 1, ssd::EnergyComponent::NandRead, op);
+    auto op = [](nand::NandChip &) { return busyFor(10.0); };
+    sched.submit(oneStep(0, 0, StepKind::PageRead, op));
+    sched.submit(oneStep(0, 1, StepKind::PageRead, op));
     EXPECT_EQ(sched.drain(), usToTime(10.0));
     EXPECT_EQ(sched.planeBusyTime(0, 0), usToTime(10.0));
     EXPECT_EQ(sched.planeBusyTime(0, 1), usToTime(10.0));
@@ -76,12 +90,11 @@ TEST(SchedulerTest, SamePlaneOpsSerializeInSubmissionOrder)
     CommandScheduler sched(farm);
     std::vector<int> order;
     for (int i = 0; i < 3; ++i)
-        sched.submitPlaneOp(
-            0, 0, ssd::EnergyComponent::NandRead,
-            [&order, i](nand::NandChip &) {
-                order.push_back(i);
-                return nand::OpResult{usToTime(5.0), 0.0};
-            });
+        sched.submit(oneStep(0, 0, StepKind::PageRead,
+                             [&order, i](nand::NandChip &) {
+                                 order.push_back(i);
+                                 return busyFor(5.0);
+                             }));
     EXPECT_EQ(sched.drain(), usToTime(15.0));
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -98,17 +111,112 @@ TEST(SchedulerTest, DataInPipelinesBehindCacheLatch)
     const std::uint64_t bytes = farm.geometry().pageBytes;
     const Time dma = transferTime(bytes, fc.io.channelGBps);
     ASSERT_EQ(dma, usToTime(32.0));
-    auto op = [](nand::NandChip &) {
-        return nand::OpResult{usToTime(10.0), 0.0};
-    };
-    sched.submitPlaneOp(0, 0, ssd::EnergyComponent::NandProgram, op, {},
-                        bytes);
-    sched.submitPlaneOp(0, 0, ssd::EnergyComponent::NandProgram, op, {},
-                        bytes);
+    auto op = [](nand::NandChip &) { return busyFor(10.0); };
+    sched.submit(oneStep(0, 0, StepKind::Program, op, bytes));
+    sched.submit(oneStep(0, 0, StepKind::Program, op, bytes));
     // Pipelined: dma1 [0,32], op1 [32,42] with dma2 [32,64] behind the
     // latch, op2 [64,74]. Fully serialized this would be 84 us.
     EXPECT_EQ(sched.drain(), usToTime(74.0));
     EXPECT_LT(sched.makespan(), usToTime(84.0));
+}
+
+TEST(SchedulerTest, ProgramsOnOnePlaneRunWholeInFifoOrder)
+{
+    // A two-step program whose second step waits for its data-in, then
+    // a one-step program on the same plane: the second program must
+    // not slip into the gap, although its plane sits idle there.
+    ssd::SsdConfig fc = smallFarm(1, 1);
+    fc.io.channelGBps = 0.001; // 32-B page -> 32 us per transfer
+    ChipFarm farm(fc);
+    CommandScheduler sched(farm);
+    std::vector<std::string> order;
+    auto step = [&order](std::string name) {
+        return [&order, name](nand::NandChip &) {
+            order.push_back(name);
+            return busyFor(5.0);
+        };
+    };
+    std::vector<std::pair<std::string, Time>> completed;
+    auto record = [&completed, &sched](std::string name) {
+        return [&completed, &sched, name] {
+            completed.emplace_back(name, sched.queue().now());
+        };
+    };
+    ColumnProgram two = oneStep(0, 0, StepKind::Sense, step("a0"));
+    two.steps.push_back(ColumnStep{StepKind::Program, step("a1"), 0,
+                                   farm.geometry().pageBytes});
+    two.onComplete = record("a");
+    ColumnProgram one = oneStep(0, 0, StepKind::Sense, step("b0"));
+    one.onComplete = record("b");
+    OpStats stats;
+    sched.submit(std::move(two), &stats);
+    sched.submit(std::move(one), &stats);
+
+    // a0 [0,5]; a1's data-in [0,32] streams behind a0, a1 [32,37];
+    // b0 [37,42].
+    EXPECT_EQ(sched.drain(), usToTime(42.0));
+    EXPECT_EQ(order, (std::vector<std::string>{"a0", "a1", "b0"}));
+    ASSERT_EQ(completed.size(), 2u);
+    EXPECT_EQ(completed[0], std::make_pair(std::string("a"), usToTime(37.0)));
+    EXPECT_EQ(completed[1], std::make_pair(std::string("b"), usToTime(42.0)));
+    EXPECT_EQ(stats.mwsCommands, 2u);
+    EXPECT_EQ(stats.programs, 1u);
+    EXPECT_EQ(sched.dieOpsExecuted(), 3u);
+}
+
+TEST(SchedulerTest, StepKindDecidesEnergyTallyAndSpan)
+{
+    // One step of each kind, each with its own power-of-two joules:
+    // every step's energy lands under energyComponentFor(kind) and its
+    // span is named after that component.
+    obs::ScopedCapture cap(/*trace=*/true, /*metrics=*/false);
+    ChipFarm farm(smallFarm(1, 1));
+    CommandScheduler sched(farm);
+    const StepKind kinds[] = {StepKind::Sense,   StepKind::LatchXor,
+                              StepKind::PageRead, StepKind::Program,
+                              StepKind::Copyback, StepKind::Erase};
+    ColumnProgram prog;
+    prog.readOutResult = false;
+    double joules = 1.0;
+    for (StepKind kind : kinds) {
+        prog.steps.push_back(ColumnStep{
+            kind,
+            [joules](nand::NandChip &) {
+                return nand::OpResult{usToTime(1.0), joules};
+            },
+            0, 0});
+        joules *= 2;
+    }
+    OpStats stats;
+    sched.submit(std::move(prog), &stats);
+    EXPECT_EQ(sched.drain(), usToTime(6.0));
+
+    const ssd::EnergyMeter &e = sched.energy();
+    EXPECT_EQ(e.get(ssd::EnergyComponent::NandMws), 1.0 + 2.0);
+    EXPECT_EQ(e.get(ssd::EnergyComponent::NandRead), 4.0);
+    EXPECT_EQ(e.get(ssd::EnergyComponent::NandProgram), 8.0 + 16.0);
+    EXPECT_EQ(e.get(ssd::EnergyComponent::NandErase), 32.0);
+    EXPECT_EQ(e.total(), 63.0);
+
+    EXPECT_EQ(stats.mwsCommands, 1u);
+    EXPECT_EQ(stats.senses, 2u);
+    EXPECT_EQ(stats.latchXors, 1u);
+    EXPECT_EQ(stats.pageReads, 1u);
+    EXPECT_EQ(stats.programs, 1u);
+    EXPECT_EQ(stats.copybacks, 1u);
+    EXPECT_EQ(stats.erases, 1u);
+    EXPECT_EQ(stats.resultPages, 0u);
+    EXPECT_EQ(stats.nandTime, usToTime(6.0));
+    EXPECT_EQ(stats.nandEnergyJ, 63.0);
+
+    std::vector<std::string> spans;
+    std::istringstream json(cap.traceJson());
+    for (std::string line; std::getline(json, line);)
+        if (test::trace_detail::rawField(line, "ph") == "B")
+            spans.push_back(test::trace_detail::rawField(line, "name"));
+    EXPECT_EQ(spans, (std::vector<std::string>{"mws", "mws", "read",
+                                               "program", "program",
+                                               "erase"}));
 }
 
 TEST(SchedulerTest, SharedChannelSerializesDma)
@@ -206,7 +314,7 @@ TEST(ComputeEngineTest, ProgramReadsOutResultPage)
     prog.onComplete = [&complete] { complete = true; };
 
     OpStats stats;
-    eng.submit(std::move(prog), &stats);
+    eng.scheduler().submit(std::move(prog), &stats);
     Time makespan = eng.drain();
 
     EXPECT_EQ(out, data);
@@ -230,7 +338,7 @@ TEST(ComputeEngineTest, ReplicatePageCopiesAcrossDies)
                                       nand::EspParams{2.0});
 
     OpStats stats;
-    eng.replicatePage(0, {0, 1, 0, 0}, 3, {1, 2, 1, 4},
+    eng.broadcastPage(0, {0, 1, 0, 0}, {{3, {1, 2, 1, 4}}},
                       nand::EspParams{2.0}, &stats);
     eng.drain();
 
@@ -277,8 +385,8 @@ TEST(ComputeEngineTest, BroadcastSensesOnceAndFansOut)
                                          nand::EspParams{2.0});
     OpStats serial_stats;
     for (const auto &t : targets)
-        serial.replicatePage(0, {0, 1, 0, 0}, t.die, t.addr,
-                             nand::EspParams{2.0}, &serial_stats);
+        serial.broadcastPage(0, {0, 1, 0, 0}, {t}, nand::EspParams{2.0},
+                             &serial_stats);
     Time serial_makespan = serial.drain();
     EXPECT_EQ(serial_stats.pageReads, 3u);
     EXPECT_LT(broadcast_makespan, serial_makespan);
