@@ -134,12 +134,11 @@ BENCHMARK(BM_DigestAtLevel)->Arg(0)->Arg(1)->Arg(2);
 void
 BM_SenseTinyPage(benchmark::State &state)
 {
-    // A 2-wordline MWS on a sparse Geometry::tiny() chip holding random
-    // images: the serving drive's page layer, which fcbench's nand.*
-    // probes (Table-1 pages) do not time.
+    // A 2-wordline MWS on a Geometry::tiny() chip holding random
+    // images, stored inline: the serving drive's page layer, which
+    // fcbench's nand.* probes (Table-1 pages) do not time.
     const nand::Geometry geom = nand::Geometry::tiny();
-    nand::NandChip chip(geom, nand::Timings{}, nullptr,
-                        nand::PageStoreKind::Sparse);
+    nand::NandChip chip(geom);
     for (std::uint32_t wl = 0; wl < 2; ++wl)
         chip.programPageEsp({0, 0, 0, wl},
                             nand::PageImage::random(Rng::mix(11, wl)),

@@ -864,19 +864,7 @@ FlashCosmosDrive::planProgram(const MwsPlan &plan, const Expr &expr,
     };
     ctx.erasedRef = &erased_ref_[column].addr;
 
-    for (LoweredStep &ls : lowerPlan(plan, ctx)) {
-        const engine::StepKind kind =
-            ls.kind == LoweredStep::Kind::LatchXor
-                ? engine::StepKind::LatchXor
-                : engine::StepKind::Sense;
-        prog.steps.push_back(engine::ColumnStep{
-            kind,
-            [ls = std::move(ls)](nand::NandChip &chip) {
-                return ls.run(chip);
-            },
-            0, 0});
-    }
-
+    prog.steps = lowerPlan(plan, ctx);
     return prog;
 }
 

@@ -142,9 +142,10 @@ class FlashCosmosDrive : public StorageResolver
      * (fc_write for data the host can describe instead of ship):
      * @p gen maps each page index to its image descriptor. The full
      * data-in transfer and ESP program are still paid on the timeline,
-     * but with the sparse backend no payload is materialized — the way
-     * Table-1-scale vectors are seeded inside CTest. storeInverted
-     * stores each image's complement at descriptor level.
+     * but a page wider than PageImage::kInlineBits is not materialized
+     * at write time — the way Table-1-scale vectors are seeded inside
+     * CTest. storeInverted stores each image's complement at
+     * descriptor level.
      */
     VectorId fcWritePages(
         const std::function<nand::PageImage(std::uint64_t)> &gen,

@@ -6,20 +6,35 @@ namespace fcos::core {
 
 namespace {
 
-LoweredStep
-latchXor(std::uint32_t plane)
+/** A Sense step: execute @p cmd, then, for an OR merge, the legacy
+ *  cache-read OR transfer (Figure 6(c)). */
+engine::ColumnStep
+sense(nand::MwsCommand cmd, bool or_merge_after = false)
 {
-    LoweredStep s;
-    s.kind = LoweredStep::Kind::LatchXor;
-    s.cmd.plane = plane;
-    return s;
+    return {engine::StepKind::Sense,
+            [cmd = std::move(cmd), or_merge_after](nand::NandChip &chip) {
+                nand::OpResult r = chip.executeMws(cmd);
+                if (or_merge_after)
+                    chip.latches(cmd.plane).dumpOrMerge();
+                return r;
+            },
+            0, 0};
 }
 
-std::vector<LoweredStep>
+/** A LatchXor step on @p plane: C := S XOR C. */
+engine::ColumnStep
+latchXor(std::uint32_t plane)
+{
+    return {engine::StepKind::LatchXor,
+            [plane](nand::NandChip &chip) { return chip.executeXor(plane); },
+            0, 0};
+}
+
+std::vector<engine::ColumnStep>
 lowerXor(const MwsPlan &plan, const LoweringContext &ctx)
 {
     fcos_assert(plan.xorMembers.size() >= 2, "degenerate XOR plan");
-    std::vector<LoweredStep> steps;
+    std::vector<engine::ColumnStep> steps;
     for (std::size_t i = 0; i < plan.xorMembers.size(); ++i) {
         const Literal &l = plan.xorMembers[i];
         bool first_op = (i == 0);
@@ -27,17 +42,16 @@ lowerXor(const MwsPlan &plan, const LoweringContext &ctx)
         const nand::WordlineAddr a = ctx.addrOf(l.id);
         bool stored_mismatch =
             ctx.storedInverted(l.id) != l.negated; // stored != literal
-        LoweredStep s;
-        s.cmd.plane = ctx.plane;
+        nand::MwsCommand cmd;
+        cmd.plane = ctx.plane;
         // The overall parity folds into the last member's sense.
-        s.cmd.flags.inverseRead =
-            stored_mismatch ^ (last && plan.xorInvert);
-        s.cmd.flags.initSenseLatch = true;
-        s.cmd.flags.initCacheLatch = first_op;
-        s.cmd.flags.dumpToCache = first_op;
-        s.cmd.selections.push_back(
+        cmd.flags.inverseRead = stored_mismatch ^ (last && plan.xorInvert);
+        cmd.flags.initSenseLatch = true;
+        cmd.flags.initCacheLatch = first_op;
+        cmd.flags.dumpToCache = first_op;
+        cmd.selections.push_back(
             nand::WlSelection{a.block, a.subBlock, 1ULL << a.wordline});
-        steps.push_back(std::move(s));
+        steps.push_back(sense(std::move(cmd)));
         if (i > 0)
             steps.push_back(latchXor(ctx.plane));
     }
@@ -46,18 +60,7 @@ lowerXor(const MwsPlan &plan, const LoweringContext &ctx)
 
 } // namespace
 
-nand::OpResult
-LoweredStep::run(nand::NandChip &chip) const
-{
-    if (kind == Kind::LatchXor)
-        return chip.executeXor(cmd.plane);
-    nand::OpResult r = chip.executeMws(cmd);
-    if (orMergeAfter)
-        chip.latches(cmd.plane).dumpOrMerge();
-    return r;
-}
-
-std::vector<LoweredStep>
+std::vector<engine::ColumnStep>
 lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
 {
     fcos_assert(ctx.addrOf != nullptr, "lowering without address binding");
@@ -69,25 +72,26 @@ lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
     fcos_assert(plan.kind == MwsPlan::Kind::Mws,
                 "fallback plans have no chip lowering");
 
-    std::vector<LoweredStep> steps;
+    std::vector<engine::ColumnStep> steps;
     for (const PlanCommand &pc : plan.commands) {
-        LoweredStep s;
-        s.cmd.plane = ctx.plane;
-        s.cmd.flags.inverseRead = pc.inverse;
-        s.cmd.flags.initSenseLatch = true;
+        nand::MwsCommand cmd;
+        cmd.plane = ctx.plane;
+        cmd.flags.inverseRead = pc.inverse;
+        cmd.flags.initSenseLatch = true;
+        bool or_merge_after = false;
         switch (pc.merge) {
           case MergeMode::Copy:
-            s.cmd.flags.initCacheLatch = true;
-            s.cmd.flags.dumpToCache = true;
+            cmd.flags.initCacheLatch = true;
+            cmd.flags.dumpToCache = true;
             break;
           case MergeMode::And:
-            s.cmd.flags.initCacheLatch = false;
-            s.cmd.flags.dumpToCache = true;
+            cmd.flags.initCacheLatch = false;
+            cmd.flags.dumpToCache = true;
             break;
           case MergeMode::Or:
-            s.cmd.flags.initCacheLatch = false;
-            s.cmd.flags.dumpToCache = false;
-            s.orMergeAfter = true;
+            cmd.flags.initCacheLatch = false;
+            cmd.flags.dumpToCache = false;
+            or_merge_after = true;
             break;
         }
         for (const PlanString &str : pc.strings) {
@@ -102,9 +106,9 @@ lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
                             "(planner/placement bug)");
                 sel.wlMask |= 1ULL << a.wordline;
             }
-            s.cmd.selections.push_back(sel);
+            cmd.selections.push_back(sel);
         }
-        steps.push_back(std::move(s));
+        steps.push_back(sense(std::move(cmd), or_merge_after));
     }
 
     if (plan.finalInvert) {
@@ -113,15 +117,15 @@ lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
         fcos_assert(ctx.erasedRef != nullptr,
                     "final NOT requires an erased reference wordline");
         const nand::WordlineAddr &e = *ctx.erasedRef;
-        LoweredStep s;
-        s.cmd.plane = ctx.plane;
-        s.cmd.flags.inverseRead = false;
-        s.cmd.flags.initSenseLatch = true;
-        s.cmd.flags.initCacheLatch = false;
-        s.cmd.flags.dumpToCache = false;
-        s.cmd.selections.push_back(
+        nand::MwsCommand cmd;
+        cmd.plane = ctx.plane;
+        cmd.flags.inverseRead = false;
+        cmd.flags.initSenseLatch = true;
+        cmd.flags.initCacheLatch = false;
+        cmd.flags.dumpToCache = false;
+        cmd.selections.push_back(
             nand::WlSelection{e.block, e.subBlock, 1ULL << e.wordline});
-        steps.push_back(std::move(s));
+        steps.push_back(sense(std::move(cmd)));
         steps.push_back(latchXor(ctx.plane));
     }
 

@@ -9,11 +9,10 @@
  * functional mode binds through its own batch layout — but the mapping
  * from PlanCommands / XOR chains to MWS command bytes, ISCM flags, OR
  * dumps and latch XORs is hardware semantics and must exist exactly
- * once. lowerPlan() is that one place, and LoweredStep::run() the one
- * executor of its steps: both execution paths feed it their address
- * resolver and run the resulting step list, so the figure workloads
- * and the fc_read library cannot drift apart in how they translate
- * plans to silicon.
+ * once. lowerPlan() is that one place: both execution paths feed it
+ * their address resolver and schedule the engine::ColumnSteps it
+ * returns, so the figure workloads and the fc_read library cannot
+ * drift apart in how they translate plans to silicon.
  */
 
 #ifndef FCOS_CORE_LOWERING_H
@@ -24,30 +23,11 @@
 #include <vector>
 
 #include "core/plan.h"
+#include "engine/scheduler.h"
 #include "nand/chip.h"
 #include "nand/command.h"
 
 namespace fcos::core {
-
-/** One die-local step of a lowered plan. */
-struct LoweredStep
-{
-    enum class Kind : std::uint8_t
-    {
-        Sense,    ///< execute cmd (an MWS sense)
-        LatchXor, ///< on-chip C := S XOR C
-    };
-
-    Kind kind = Kind::Sense;
-    /** The MWS sense (Kind::Sense); for Kind::LatchXor only cmd.plane. */
-    nand::MwsCommand cmd;
-    /** Legacy cache-read OR transfer (Figure 6(c)) after the sense. */
-    bool orMergeAfter = false;
-
-    /** Execute this step on @p chip: the sense and its OR transfer, or
-     *  the latch XOR. */
-    nand::OpResult run(nand::NandChip &chip) const;
-};
 
 /** Physical binding of a plan's literals for one page column. */
 struct LoweringContext
@@ -65,10 +45,13 @@ struct LoweringContext
 
 /**
  * Lower @p plan (Kind::Mws or Kind::Xor; fallback plans have no chip
- * execution) to an ordered step list against one plane's latch pair.
+ * execution) to an ordered step list against one plane's latch pair:
+ * StepKind::Sense steps (an MWS sense, followed by the legacy
+ * cache-read OR transfer of Figure 6(c) for an OR merge) and
+ * StepKind::LatchXor steps (on-chip C := S XOR C).
  */
-std::vector<LoweredStep> lowerPlan(const MwsPlan &plan,
-                                   const LoweringContext &ctx);
+std::vector<engine::ColumnStep> lowerPlan(const MwsPlan &plan,
+                                          const LoweringContext &ctx);
 
 } // namespace fcos::core
 

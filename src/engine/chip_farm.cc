@@ -11,8 +11,7 @@ ChipFarm::ChipFarm(const ssd::SsdConfig &cfg) : cfg_(cfg)
     chips_.reserve(cfg.dieCount());
     for (std::uint32_t d = 0; d < cfg.dieCount(); ++d)
         chips_.push_back(std::make_unique<nand::NandChip>(
-            cfg.geometry, cfg.timings, nullptr,
-            nand::PageStoreKind::Sparse));
+            cfg.geometry, cfg.timings, nullptr));
 }
 
 std::uint32_t

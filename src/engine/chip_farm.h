@@ -31,9 +31,9 @@ namespace fcos::engine {
 class ChipFarm
 {
   public:
-    /** One die per (channel, die) of @p cfg. Every die keeps its pages
-     *  in the sparse store, so Table-1 farms fit in tests; the dense
-     *  store is bit-for-bit equivalent (nand/page_store.h). */
+    /** One die per (channel, die) of @p cfg. A die keeps a wide page
+     *  as its descriptor until a sense materializes it, so Table-1
+     *  farms fit in tests (nand/cell_array.h). */
     explicit ChipFarm(const ssd::SsdConfig &cfg);
 
     const ssd::SsdConfig &config() const { return cfg_; }

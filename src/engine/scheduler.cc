@@ -95,6 +95,8 @@ CommandScheduler::CommandScheduler(ChipFarm &farm)
         channels_.emplace_back("channel" + std::to_string(c));
         accel_ports_.emplace_back("accel" + std::to_string(c));
     }
+    channel_tracks_.assign(farm.channelCount(), 0);
+    accel_tracks_.assign(farm.channelCount(), 0);
 
     // Register the trace topology once: one process per channel (its
     // bus, accelerator port, and plane tracks), one for the drive
@@ -109,8 +111,8 @@ CommandScheduler::CommandScheduler(ChipFarm &farm)
             std::uint32_t pid =
                 tr.newProcess("channel" + std::to_string(c));
             chan_pids.push_back(pid);
-            channel_tracks_.push_back(tr.newTrack(pid, "bus"));
-            accel_tracks_.push_back(tr.newTrack(pid, "accel"));
+            channel_tracks_[c] = tr.newTrack(pid, "bus");
+            accel_tracks_[c] = tr.newTrack(pid, "accel");
         }
         plane_tracks_.reserve(farm.columnCount());
         wait_tracks_.reserve(farm.columnCount());
@@ -165,19 +167,31 @@ CommandScheduler::prefetchDataIn(std::uint32_t die, std::uint32_t col)
     head.dmaIssued = true;
     const std::uint32_t ch = farm_.channelOfDie(die);
     const ssd::IoParams &io = farm_.config().io;
-    energy_.add(ssd::EnergyComponent::ChannelDma, io.channelEnergyJ(bytes));
-    const Time dur = io.channelTime(bytes);
-    Time finish = channels_[ch].acquire(queue_.now(), dur);
     ++dma_ops_;
+    bookTransfer(channels_[ch], channel_tracks_[ch], "data-in",
+                 ssd::EnergyComponent::ChannelDma, io.channelEnergyJ(bytes),
+                 io.channelTime(bytes), [this, die, col] {
+                     // A step never starts before its data lands, so
+                     // the head is still the step this transfer was
+                     // issued for.
+                     states_[col].pending.front().dmaDone = true;
+                     pump(die, col);
+                 });
+}
+
+void
+CommandScheduler::bookTransfer(Facility &fac, std::uint32_t track,
+                               const char *name, ssd::EnergyComponent comp,
+                               double joules, Time dur, Callback done)
+{
+    energy_.add(comp, joules);
+    const Time finish = fac.acquire(queue_.now(), dur);
     if (obs::traceLive(trace_epoch_))
-        obs::trace().span(channel_tracks_[ch], "data-in", finish - dur,
-                          finish);
-    queue_.schedule(finish, [this, die, col] {
-        // A step never starts before its data lands, so the head is
-        // still the step this transfer was issued for.
-        states_[col].pending.front().dmaDone = true;
-        pump(die, col);
-    });
+        obs::trace().span(track, name, finish - dur, finish);
+    if (done)
+        queue_.schedule(finish, std::move(done));
+    else
+        queue_.schedule(finish, [] {});
 }
 
 void
@@ -317,35 +331,22 @@ void
 CommandScheduler::submitDma(std::uint32_t die, std::uint64_t bytes,
                             Callback done)
 {
-    std::uint32_t ch = farm_.channelOfDie(die);
+    const std::uint32_t ch = farm_.channelOfDie(die);
     const ssd::IoParams &io = farm_.config().io;
-    energy_.add(ssd::EnergyComponent::ChannelDma, io.channelEnergyJ(bytes));
-    const Time dur = io.channelTime(bytes);
-    Time finish = channels_[ch].acquire(queue_.now(), dur);
     ++dma_ops_;
-    if (obs::traceLive(trace_epoch_))
-        obs::trace().span(channel_tracks_[ch], "dma", finish - dur,
-                          finish);
-    if (done)
-        queue_.schedule(finish, std::move(done));
-    else
-        queue_.schedule(finish, [] {});
+    bookTransfer(channels_[ch], channel_tracks_[ch], "dma",
+                 ssd::EnergyComponent::ChannelDma, io.channelEnergyJ(bytes),
+                 io.channelTime(bytes), std::move(done));
 }
 
 void
 CommandScheduler::submitExternal(std::uint64_t bytes, Callback done)
 {
     const ssd::IoParams &io = farm_.config().io;
-    energy_.add(ssd::EnergyComponent::ExternalLink,
-                io.externalEnergyJ(bytes));
-    const Time dur = io.externalTime(bytes);
-    Time finish = external_.acquire(queue_.now(), dur);
-    if (obs::traceLive(trace_epoch_))
-        obs::trace().span(external_track_, "ext", finish - dur, finish);
-    if (done)
-        queue_.schedule(finish, std::move(done));
-    else
-        queue_.schedule(finish, [] {});
+    bookTransfer(external_, external_track_, "ext",
+                 ssd::EnergyComponent::ExternalLink,
+                 io.externalEnergyJ(bytes), io.externalTime(bytes),
+                 std::move(done));
 }
 
 void
@@ -355,18 +356,11 @@ CommandScheduler::submitAccel(std::uint32_t channel, std::uint64_t bytes,
     fcos_assert(channel < accel_ports_.size(), "channel %u out of range",
                 channel);
     const ssd::IoParams &io = farm_.config().io;
-    energy_.add(ssd::EnergyComponent::IspAccel, io.accelEnergyJ(bytes));
     // The accelerator streams at channel rate; its port is per channel,
     // so accelerator work never outruns its input.
-    const Time dur = io.channelTime(bytes);
-    Time finish = accel_ports_[channel].acquire(queue_.now(), dur);
-    if (obs::traceLive(trace_epoch_))
-        obs::trace().span(accel_tracks_[channel], "accel", finish - dur,
-                          finish);
-    if (done)
-        queue_.schedule(finish, std::move(done));
-    else
-        queue_.schedule(finish, [] {});
+    bookTransfer(accel_ports_[channel], accel_tracks_[channel], "accel",
+                 ssd::EnergyComponent::IspAccel, io.accelEnergyJ(bytes),
+                 io.channelTime(bytes), std::move(done));
 }
 
 Time

@@ -289,6 +289,12 @@ class CommandScheduler
 
     /** Issue the head step's data-in transfer if it has not started. */
     void prefetchDataIn(std::uint32_t die, std::uint32_t col);
+    /** Book one transfer, in this order: @p joules under @p comp, @p dur
+     *  of @p fac from now, span @p name on @p track, then @p done at the
+     *  finish (an empty event when @p done is empty). */
+    void bookTransfer(Facility &fac, std::uint32_t track, const char *name,
+                      ssd::EnergyComponent comp, double joules, Time dur,
+                      Callback done);
     /** Start the head step of column @p col, if it is ready. */
     void pump(std::uint32_t die, std::uint32_t col);
     /** Worker phase: run the head step (die-local). */
@@ -328,8 +334,10 @@ class CommandScheduler
     std::uint32_t drive_pid_ = 0;
     std::vector<std::uint32_t> plane_tracks_;   ///< per column
     std::vector<std::uint32_t> wait_tracks_;    ///< per column (X overlays)
-    std::vector<std::uint32_t> channel_tracks_; ///< per channel bus
-    std::vector<std::uint32_t> accel_tracks_;   ///< per channel port
+    /** Per channel bus / accelerator port; sized (0) when tracing is
+     *  off too, so bookTransfer() can take a track unconditionally. */
+    std::vector<std::uint32_t> channel_tracks_;
+    std::vector<std::uint32_t> accel_tracks_;
     std::uint32_t external_track_ = 0;
     /** Lazily resolved per-component latency histograms + queue wait
      *  (commit phase is serial, so registration there is safe). */

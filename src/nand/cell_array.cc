@@ -1,6 +1,7 @@
 #include "nand/cell_array.h"
 
 #include <bit>
+#include <unordered_set>
 
 #include "util/log.h"
 
@@ -12,8 +13,8 @@ WlSelection::wordlineCount() const
     return static_cast<std::uint32_t>(std::popcount(wlMask));
 }
 
-CellArray::CellArray(const Geometry &geom, PageStoreKind store)
-    : geom_(geom), store_(PageStore::make(store, geom.pageBits())),
+CellArray::CellArray(const Geometry &geom)
+    : geom_(geom),
       block_pec_(static_cast<std::size_t>(geom.planesPerDie) *
                      geom.blocksPerPlane,
                  0)
@@ -28,7 +29,7 @@ CellArray::eraseBlock(std::uint32_t plane, std::uint32_t block)
     for (std::uint32_t sb = 0; sb < geom_.subBlocksPerBlock; ++sb) {
         for (std::uint32_t wl = 0; wl < geom_.wordlinesPerSubBlock; ++wl) {
             WordlineAddr a{plane, block, sb, wl};
-            store_->erase(planeKey(plane, wordlineIndex(geom_, a)));
+            pages_.erase(planeKey(plane, wordlineIndex(geom_, a)));
         }
     }
     ++block_pec_[static_cast<std::size_t>(plane) * geom_.blocksPerPlane +
@@ -56,22 +57,28 @@ CellArray::program(const WordlineAddr &addr, PageImage image,
                     image.payloadId()->size(),
                     (unsigned long long)geom_.pageBits());
     }
-    std::uint64_t key = planeKey(addr.plane, wordlineIndex(geom_, addr));
-    if (store_->find(key)) {
+    auto [it, fresh] =
+        pages_.try_emplace(planeKey(addr.plane, wordlineIndex(geom_, addr)));
+    if (!fresh) {
         fcos_fatal("program of already-programmed page "
                    "(plane %u blk %u sb %u wl %u) without erase",
                    addr.plane, addr.block, addr.subBlock, addr.wordline);
     }
-    PageMeta m = meta;
-    m.pecAtProgram = blockPec(addr.plane, addr.block);
-    store_->program(key, std::move(image), m);
+    // A page that fits the descriptor is stored as its bits, so a sense
+    // copies them; a wider one keeps its descriptor (or shared payload)
+    // and is materialized per sense.
+    if (geom_.pageBits() <= PageImage::kInlineBits)
+        image = image.inlined(geom_.pageBits());
+    it->second.image = std::move(image);
+    it->second.meta = meta;
+    it->second.meta.pecAtProgram = blockPec(addr.plane, addr.block);
 }
 
 bool
 CellArray::isProgrammed(const WordlineAddr &addr) const
 {
     checkAddr(geom_, addr);
-    return store_->find(planeKey(addr.plane, wordlineIndex(geom_, addr))) !=
+    return find(planeKey(addr.plane, wordlineIndex(geom_, addr))) !=
            nullptr;
 }
 
@@ -80,7 +87,7 @@ CellArray::pageMeta(const WordlineAddr &addr) const
 {
     checkAddr(geom_, addr);
     const StoredPage *sp =
-        store_->find(planeKey(addr.plane, wordlineIndex(geom_, addr)));
+        find(planeKey(addr.plane, wordlineIndex(geom_, addr)));
     return sp ? &sp->meta : nullptr;
 }
 
@@ -89,7 +96,7 @@ CellArray::pageData(const WordlineAddr &addr) const
 {
     checkAddr(geom_, addr);
     const StoredPage *sp =
-        store_->find(planeKey(addr.plane, wordlineIndex(geom_, addr)));
+        find(planeKey(addr.plane, wordlineIndex(geom_, addr)));
     fcos_assert(sp != nullptr,
                 "pageData of erased page (plane %u blk %u sb %u wl %u)",
                 addr.plane, addr.block, addr.subBlock, addr.wordline);
@@ -122,7 +129,7 @@ CellArray::effectiveData(const WordlineAddr &addr, ErrorInjector *injector,
 {
     checkAddr(geom_, addr);
     std::uint64_t key = planeKey(addr.plane, wordlineIndex(geom_, addr));
-    const StoredPage *sp = store_->find(key);
+    const StoredPage *sp = find(key);
     if (!sp)
         return BitVector(geom_.pageBits(), true); // erased: all '1'
     return sensedPage(key, *sp, injector, read_seq);
@@ -169,7 +176,7 @@ CellArray::senseConduction(std::uint32_t plane,
                                  static_cast<std::uint32_t>(
                                      std::countr_zero(m))};
             const std::uint64_t key = planeKey(plane, wordlineIndex(geom_, a));
-            const StoredPage *sp = store_->find(key);
+            const StoredPage *sp = find(key);
             if (!sp)
                 continue;
             BitVector bits = sensedPage(key, *sp, injector, read_seq);
@@ -192,7 +199,24 @@ CellArray::senseConduction(std::uint32_t plane,
 std::size_t
 CellArray::programmedPages() const
 {
-    return store_->pageCount();
+    return pages_.size();
+}
+
+std::size_t
+CellArray::contentBytes() const
+{
+    // Per-entry bookkeeping estimate: stored page + key + hash node.
+    constexpr std::size_t kEntryBytes =
+        sizeof(StoredPage) + sizeof(std::uint64_t) + 4 * sizeof(void *);
+    std::size_t bytes = pages_.size() * kEntryBytes;
+    std::unordered_set<const BitVector *> counted;
+    for (const auto &[key, page] : pages_) {
+        (void)key;
+        const BitVector *id = page.image.payloadId();
+        if (id && counted.insert(id).second)
+            bytes += page.image.heapBytes();
+    }
+    return bytes;
 }
 
 } // namespace fcos::nand

@@ -2,11 +2,11 @@
  * @file
  * Functional model of one die's cell array.
  *
- * Page payloads live behind the PageStore abstraction (page_store.h):
- * the dense backend materializes every programmed page, the sparse
- * backend stores a page that fits its descriptor as its bits and keeps
- * wider pages as generator descriptors, materializing only the pages a
- * sense touches. Either way the array tracks per-block P/E cycle
+ * The array keeps one StoredPage per programmed page in a hash map
+ * keyed by the page's flat (plane, wordline) index: a page that fits
+ * its descriptor (page_store.h) is stored as its bits, a wider page as
+ * its generator descriptor or shared payload, materialized only when
+ * a sense touches it. The array also tracks per-block P/E cycle
  * counts and computes the per-bitline *string conduction* of an
  * arbitrary set of simultaneously activated wordlines — the physical
  * primitive behind Multi-Wordline Sensing (Section 4.1):
@@ -24,7 +24,7 @@
 #define FCOS_NAND_CELL_ARRAY_H
 
 #include <cstdint>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "nand/config.h"
@@ -69,11 +69,9 @@ struct WlSelection
 class CellArray
 {
   public:
-    explicit CellArray(const Geometry &geom,
-                       PageStoreKind store = PageStoreKind::Dense);
+    explicit CellArray(const Geometry &geom);
 
     const Geometry &geometry() const { return geom_; }
-    PageStoreKind storeKind() const { return store_->kind(); }
 
     /**
      * Erase a physical block (all sub-blocks): pages revert to the
@@ -88,9 +86,9 @@ class CellArray
     void program(const WordlineAddr &addr, const BitVector &data,
                  const PageMeta &meta);
 
-    /** Program from an image descriptor. The sparse backend stores a
-     *  page of at most PageImage::kInlineBits as its bits, generated
-     *  once here; a wider page keeps its descriptor unmaterialized. */
+    /** Program from an image descriptor. A page of at most
+     *  PageImage::kInlineBits is stored as its bits, generated once
+     *  here; a wider page keeps its descriptor unmaterialized. */
     void program(const WordlineAddr &addr, PageImage image,
                  const PageMeta &meta);
 
@@ -134,8 +132,13 @@ class CellArray
     /** Number of programmed pages (for tests / memory accounting). */
     std::size_t programmedPages() const;
 
-    /** Heap footprint of the stored pages (scale-budget assertions). */
-    std::size_t contentBytes() const { return store_->contentBytes(); }
+    /**
+     * Estimated heap footprint of the stored pages: payload bytes
+     * (each shared payload counted once) plus per-entry bookkeeping.
+     * The scale contract — a Table-1 chip with sparsely programmed
+     * pages stays within a pinned budget — is asserted against it.
+     */
+    std::size_t contentBytes() const;
 
   private:
     /** What the sense amp reads of programmed page @p page at @p key:
@@ -151,8 +154,15 @@ class CellArray
                wl_idx;
     }
 
+    /** Stored page at @p key, or nullptr if erased. */
+    const StoredPage *find(std::uint64_t key) const
+    {
+        auto it = pages_.find(key);
+        return it == pages_.end() ? nullptr : &it->second;
+    }
+
     Geometry geom_;
-    std::unique_ptr<PageStore> store_;
+    std::unordered_map<std::uint64_t, StoredPage> pages_;
     std::vector<std::uint32_t> block_pec_; // [plane * blocksPerPlane + b]
 };
 

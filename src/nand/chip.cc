@@ -7,8 +7,8 @@
 namespace fcos::nand {
 
 NandChip::NandChip(const Geometry &geom, const Timings &timings,
-                   ErrorInjector *injector, PageStoreKind store)
-    : geom_(geom), timing_(timings), cells_(geom, store),
+                   ErrorInjector *injector, PageStoreKind)
+    : geom_(geom), timing_(timings), cells_(geom),
       injector_(injector), plane_seq_(geom.planesPerDie, 0)
 {
     latches_.reserve(geom.planesPerDie);
@@ -52,7 +52,8 @@ NandChip::programPage(const WordlineAddr &addr, const PageImage &image,
     PageMeta meta;
     meta.mode = mode;
     meta.randomized = randomized;
-    meta.espFactor = 1.0;
+    meta.espFactor =
+        (mode == ProgramMode::SlcEsp) ? EspParams{}.tEspFactor : 1.0;
     cells_.program(addr, image, meta);
     Time t = timing_.timings().programLatency(mode);
     return {t, PowerModel::energy(PowerModel::kProgramPower, t)};

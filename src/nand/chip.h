@@ -48,13 +48,12 @@ class NandChip
      * @param geom      die geometry
      * @param timings   latency parameters
      * @param injector  optional error model (nullptr = error-free)
-     * @param store     page-payload backend (see nand/page_store.h);
-     *                  the sparse backend makes Table-1 geometries
-     *                  cheap to instantiate
+     * The last argument is ignored: there is one page store
+     * (cell_array.h), and only the fcbench probes still pass it.
      */
     NandChip(const Geometry &geom, const Timings &timings = Timings{},
              ErrorInjector *injector = nullptr,
-             PageStoreKind store = PageStoreKind::Dense);
+             PageStoreKind = PageStoreKind::Sparse);
 
     const Geometry &geometry() const { return geom_; }
     const TimingModel &timingModel() const { return timing_; }
@@ -77,7 +76,7 @@ class NandChip
                          bool randomized = false);
 
     /** Program from an image descriptor (procedural or shared payload);
-     *  with the sparse store no page payload is materialized. */
+     *  a page wider than PageImage::kInlineBits is not materialized. */
     OpResult programPage(const WordlineAddr &addr, const PageImage &image,
                          ProgramMode mode = ProgramMode::SlcRegular,
                          bool randomized = false);

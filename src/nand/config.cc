@@ -27,7 +27,7 @@ Timings::programLatency(ProgramMode mode) const
       case ProgramMode::SlcRegular:
         return tProgSlc;
       case ProgramMode::SlcEsp:
-        return tProgEsp;
+        return EspParams{}.latency(*this);
       case ProgramMode::Mlc:
         return tProgMlc;
       case ProgramMode::Tlc:

@@ -38,11 +38,11 @@ struct Timings
     Time tProgSlc = usToTime(200.0);  ///< tPROG, regular SLC
     Time tProgMlc = usToTime(500.0);  ///< tPROG, MLC
     Time tProgTlc = usToTime(700.0);  ///< tPROG, TLC
-    Time tProgEsp = usToTime(400.0);  ///< tESP (2.0x regular SLC)
     Time tErase = usToTime(3500.0);   ///< tBERS (paper: 3-5 ms)
     Time tMwsFixed = usToTime(25.0);  ///< tMWS with <= 4 blocks (Table 1)
 
-    /** Program latency for @p mode using the fixed tESP. */
+    /** Program latency for @p mode; SlcEsp takes the default
+     *  EspParams (tESP = 2.0 x tPROG(SLC), 400 us in Table 1). */
     Time programLatency(ProgramMode mode) const;
 };
 

@@ -1,25 +1,11 @@
 #include "nand/page_store.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/log.h"
 #include "util/rng.h"
 
 namespace fcos::nand {
-
-const char *
-pageStoreName(PageStoreKind kind)
-{
-    switch (kind) {
-      case PageStoreKind::Dense:
-        return "dense";
-      case PageStoreKind::Sparse:
-        return "sparse";
-    }
-    return "?";
-}
 
 static_assert(sizeof(PageImage) == 8 + PageImage::kInlineWords * 8,
               "the inline payload shares the generator's and the "
@@ -156,99 +142,6 @@ PageImage::heapBytes() const
     return kind_ == Kind::Dense && payload_
                ? payload_->words().capacity() * sizeof(std::uint64_t)
                : 0;
-}
-
-namespace {
-
-/** Per-entry bookkeeping estimate: stored page + key + hash node. */
-constexpr std::size_t kEntryBytes =
-    sizeof(StoredPage) + sizeof(std::uint64_t) + 4 * sizeof(void *);
-
-/** Map-based store; the backends differ only in how program() treats
- *  procedural images. */
-class MapPageStore : public PageStore
-{
-  public:
-    void erase(std::uint64_t key) override { pages_.erase(key); }
-
-    const StoredPage *find(std::uint64_t key) const override
-    {
-        auto it = pages_.find(key);
-        return it == pages_.end() ? nullptr : &it->second;
-    }
-
-    std::size_t pageCount() const override { return pages_.size(); }
-
-    std::size_t contentBytes() const override
-    {
-        std::size_t bytes = pages_.size() * kEntryBytes;
-        std::unordered_set<const BitVector *> counted;
-        for (const auto &[key, page] : pages_) {
-            (void)key;
-            const BitVector *id = page.image.payloadId();
-            if (id && counted.insert(id).second)
-                bytes += page.image.heapBytes();
-        }
-        return bytes;
-    }
-
-  protected:
-    std::unordered_map<std::uint64_t, StoredPage> pages_;
-};
-
-class DensePageStore final : public MapPageStore
-{
-  public:
-    explicit DensePageStore(std::size_t page_bits) : page_bits_(page_bits)
-    {}
-
-    PageStoreKind kind() const override { return PageStoreKind::Dense; }
-
-    void program(std::uint64_t key, PageImage image,
-                 const PageMeta &meta) override
-    {
-        // Materialize eagerly: every page owns a dense payload (the
-        // pre-abstraction behaviour, kept as the equivalence baseline).
-        if (!image.isDense() || image.payloadId()->size() != page_bits_)
-            image = PageImage::dense(image.materialize(page_bits_));
-        pages_.emplace(key, StoredPage{std::move(image), meta});
-    }
-
-  private:
-    std::size_t page_bits_;
-};
-
-class SparsePageStore final : public MapPageStore
-{
-  public:
-    explicit SparsePageStore(std::size_t page_bits) : page_bits_(page_bits)
-    {}
-
-    PageStoreKind kind() const override { return PageStoreKind::Sparse; }
-
-    void program(std::uint64_t key, PageImage image,
-                 const PageMeta &meta) override
-    {
-        // A page that fits the descriptor is stored as its bits, so a
-        // sense copies them; a wider one keeps its descriptor and is
-        // materialized per sense.
-        if (page_bits_ <= PageImage::kInlineBits)
-            image = image.inlined(page_bits_);
-        pages_.emplace(key, StoredPage{std::move(image), meta});
-    }
-
-  private:
-    std::size_t page_bits_;
-};
-
-} // namespace
-
-std::unique_ptr<PageStore>
-PageStore::make(PageStoreKind kind, std::size_t page_bits)
-{
-    if (kind == PageStoreKind::Dense)
-        return std::make_unique<DensePageStore>(page_bits);
-    return std::make_unique<SparsePageStore>(page_bits);
 }
 
 } // namespace fcos::nand

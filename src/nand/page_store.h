@@ -1,29 +1,23 @@
 /**
  * @file
- * Page-payload storage backends for the functional cell array.
+ * Page content descriptors for the functional cell array.
  *
- * The dense backend materializes every programmed page as a BitVector —
- * exact but O(pageBytes) per page, which caps tests at toy geometries.
- * The sparse backend keeps a *descriptor* per page instead: a page is
- * either absent (erased), a procedural generator (seeded random
- * pattern, constant fill, the Section 5.1 checkered worst case), or a
- * shared dense payload (copy-on-write: broadcast copies reference one
- * buffer). Sensing materializes exactly the pages a command touches,
- * so a Table-1 chip (2048 blocks x 16-KiB pages) with a few thousand
- * programmed pages costs kilobytes, not gigabytes — the prerequisite
- * for running full-geometry drives inside CTest.
+ * CellArray keeps one StoredPage per programmed page. Its PageImage is
+ * either a procedural generator (seeded random pattern, constant fill,
+ * the Section 5.1 checkered worst case), a shared dense payload
+ * (copy-on-write: broadcast copies reference one buffer), or the
+ * page's own bits inline. A page of at most PageImage::kInlineBits
+ * (the 256-bit Geometry::tiny() serving page) is stored as its bits:
+ * CellArray generates it once at program time, so sensing it copies
+ * four words and it holds no heap bytes. A wider page keeps its
+ * descriptor and is materialized only when a sense touches it, so a
+ * Table-1 chip (2048 blocks x 16-KiB pages) with a few thousand
+ * programmed pages costs kilobytes, not gigabytes.
  *
- * A page that fits inside the descriptor (at most
- * PageImage::kInlineBits, the 256-bit Geometry::tiny() serving page)
- * is stored as its bits: the sparse backend generates it once at
- * program time, so sensing it copies four words instead of re-seeding
- * a generator, and it holds no heap bytes. Wider pages keep their
- * descriptor and still materialize per sense.
- *
- * Materialization is a pure function of the descriptor, so the two
- * backends are bit-for-bit interchangeable: same sensed data, same
- * conduction, same injected-error seeds (certified by
- * tests/nand/page_store_test.cc).
+ * Materialization is a pure function of the descriptor: a page senses
+ * the same bits, conduction and injected-error seeds whether it was
+ * programmed as a descriptor or as that descriptor's materialized
+ * payload (certified by tests/nand/page_store_test.cc).
  */
 
 #ifndef FCOS_NAND_PAGE_STORE_H
@@ -52,14 +46,12 @@ struct PageMeta
     std::uint32_t pecAtProgram = 0;
 };
 
+/** There is one page store; NandChip still takes this argument
+ *  because the fcbench probes name it, and ignores it. */
 enum class PageStoreKind : std::uint8_t
 {
-    Dense,  ///< every page a materialized BitVector
-    Sparse, ///< descriptors; wider-than-inline pages materialized
-            ///< per sense
+    Sparse,
 };
-
-const char *pageStoreName(PageStoreKind kind);
 
 /**
  * The content of one page: a procedural generator descriptor, a
@@ -196,46 +188,6 @@ struct StoredPage
 {
     PageImage image;
     PageMeta meta;
-};
-
-/**
- * Keyed page container behind CellArray. Keys are the array's flat
- * (plane, wordline) indices; the store is policy only — address
- * checking and NAND program/erase rules stay in CellArray.
- */
-class PageStore
-{
-  public:
-    virtual ~PageStore() = default;
-
-    virtual PageStoreKind kind() const = 0;
-
-    /** Store @p image at @p key (caller guarantees the key is free). */
-    virtual void program(std::uint64_t key, PageImage image,
-                         const PageMeta &meta) = 0;
-
-    /** Drop the page at @p key if present. */
-    virtual void erase(std::uint64_t key) = 0;
-
-    /** Stored page at @p key, or nullptr if erased. */
-    virtual const StoredPage *find(std::uint64_t key) const = 0;
-
-    virtual std::size_t pageCount() const = 0;
-
-    /**
-     * Estimated heap footprint of the stored pages: payload bytes
-     * (each shared payload counted once) plus per-entry bookkeeping.
-     * The sparse backend's scale contract — a Table-1 chip with
-     * sparsely programmed pages stays within a pinned budget — is
-     * asserted against this number.
-     */
-    virtual std::size_t contentBytes() const = 0;
-
-    /** @param page_bits  page width: the dense backend materializes
-     *                    every descriptor at it, the sparse backend
-     *                    the ones that fit inline. */
-    static std::unique_ptr<PageStore> make(PageStoreKind kind,
-                                           std::size_t page_bits);
 };
 
 } // namespace fcos::nand

@@ -42,7 +42,8 @@ tab01SsdTable(const ssd::SsdConfig &c)
         formatTime(c.timings.tProgSlc) + " / " +
             formatTime(c.timings.tProgMlc) + " / " +
             formatTime(c.timings.tProgTlc));
-    row("tESP", "400 us", formatTime(c.timings.tProgEsp));
+    row("tESP", "400 us",
+        formatTime(c.timings.programLatency(nand::ProgramMode::SlcEsp)));
     row("tBERS", "3-5 ms", formatTime(c.timings.tErase));
     row("ISP accel energy", "93 pJ / 64 B",
         TablePrinter::cell(c.io.accelPjPer64B, 0) + " pJ / 64 B");
@@ -235,8 +236,7 @@ fig13Validate(std::uint32_t n, Rng &rng)
     rel::VthErrorInjector inj(model, worst);
     nand::Geometry geom = nand::Geometry::tiny();
     geom.blocksPerPlane = 32;
-    nand::NandChip chip(geom, nand::Timings{}, &inj,
-                        nand::PageStoreKind::Sparse);
+    nand::NandChip chip(geom, nand::Timings{}, &inj);
 
     BitVector expected(geom.pageBits(), false);
     nand::MwsCommand cmd;

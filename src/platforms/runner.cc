@@ -527,9 +527,9 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                     static_cast<std::uint32_t>(r * row_blocks);
                 // Operands in place (instant functional programming):
                 // the workload models computation over stored data.
-                // Pages are programmed as seeded descriptors, so the
-                // sparse backend materializes nothing here — the
-                // reference fold of the same descriptors is
+                // Pages are programmed as seeded descriptors, so a
+                // wide page is not materialized here — the reference
+                // fold of the same descriptors is
                 // fcFunctionalExpectedPage, recomputed per page by
                 // whoever verifies the stream.
                 for (std::uint64_t i = 0; i < layout.operandCount();
@@ -561,21 +561,20 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                 engine::ColumnProgram prog;
                 prog.die = die;
                 prog.plane = plane;
-                for (core::LoweredStep &ls : core::lowerPlan(plan, ctx)) {
-                    fcos_assert(ls.kind ==
-                                    core::LoweredStep::Kind::Sense,
+                for (engine::ColumnStep &step :
+                     core::lowerPlan(plan, ctx)) {
+                    fcos_assert(step.kind == engine::StepKind::Sense,
                                 "functional plans lower to senses only");
-                    prog.steps.push_back(engine::ColumnStep{
-                        engine::StepKind::Sense,
-                        [ls = std::move(ls), t_mws](nand::NandChip &c) {
-                            nand::OpResult op = ls.run(c);
-                            // The SSD schedules the conservative fixed
-                            // command latency (Section 5.2), matching
-                            // the timing-only driver.
-                            op.latency = t_mws;
-                            return op;
-                        },
-                        0, 0});
+                    step.run = [sense = std::move(step.run),
+                                t_mws](nand::NandChip &c) {
+                        nand::OpResult op = sense(c);
+                        // The SSD schedules the conservative fixed
+                        // command latency (Section 5.2), matching the
+                        // timing-only driver.
+                        op.latency = t_mws;
+                        return op;
+                    };
+                    prog.steps.push_back(std::move(step));
                     ++sense_ops;
                 }
                 const bool to_host = batch.resultToHost;

@@ -113,7 +113,7 @@ class PlatformRunner
      * streaming result pages into @p sink in page order as they come
      * off the farm: deterministic seeded operand pages are
      * ESP-programmed onto the farm's chips as procedural descriptors
-     * (sparse page store — no payload materializes until sensed), the
+     * (a wide page's payload materializes only when sensed), the
      * batch expression is compiled by the core planner and lowered to
      * real MWS command chains (booked at the SSD's fixed tMWS, Section
      * 5.2), and the result pages read out over the channel / external

@@ -9,7 +9,7 @@
  * with AND and then ORs in `orOperands` more (the KCS star-formation
  * step). Operand payloads are not materialized at this level — the
  * functional path is exercised by the examples and integration tests
- * (see README.md, "Page-store backends and the Table-1 scale tier").
+ * (see README.md, "The page store and the Table-1 scale tier").
  */
 
 #ifndef FCOS_WORKLOADS_WORKLOAD_H

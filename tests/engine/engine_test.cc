@@ -219,6 +219,72 @@ TEST(SchedulerTest, StepKindDecidesEnergyTallyAndSpan)
                                                "erase"}));
 }
 
+TEST(SchedulerTest, TransfersBookEnergyFacilityAndSpan)
+{
+    // Each of the four transfer kinds lands its joules in its energy
+    // component and a span on its facility's track: a program step's
+    // data-in and its result readout on channel 0's bus, an external
+    // transfer on the drive's link, accelerator work on channel 1's
+    // port.
+    obs::ScopedCapture cap(/*trace=*/true, /*metrics=*/false);
+    ssd::SsdConfig fc = smallFarm(2, 1);
+    fc.io.channelGBps = 0.001;  // 32-B page -> 32 us on a channel
+    fc.io.externalGBps = 0.004; // 32 B -> 8 us on the external link
+    ChipFarm farm(fc);
+    CommandScheduler sched(farm);
+    const std::uint64_t bytes = farm.geometry().pageBytes;
+    ASSERT_EQ(bytes, 32u);
+
+    ColumnProgram prog = oneStep(
+        0, 0, StepKind::Program,
+        [](nand::NandChip &) { return busyFor(5.0); }, bytes);
+    prog.readOutResult = true;
+    sched.submit(std::move(prog));
+    sched.submitExternal(bytes);
+    sched.submitAccel(1, bytes);
+    // data-in [0,32], program [32,37], readout [37,69].
+    EXPECT_EQ(sched.drain(), usToTime(69.0));
+
+    const ssd::IoParams &io = fc.io;
+    const ssd::EnergyMeter &e = sched.energy();
+    EXPECT_EQ(e.get(ssd::EnergyComponent::ChannelDma),
+              io.channelEnergyJ(bytes) + io.channelEnergyJ(bytes));
+    EXPECT_EQ(e.get(ssd::EnergyComponent::ExternalLink),
+              io.externalEnergyJ(bytes));
+    EXPECT_EQ(e.get(ssd::EnergyComponent::IspAccel),
+              io.accelEnergyJ(bytes));
+
+    // (track, name, begin us, end us) of every span, tracks named
+    // "process/thread", in the trace's track order.
+    using test::trace_detail::rawField;
+    std::map<std::string, std::string> process, track;
+    std::vector<std::string> spans;
+    std::istringstream json(cap.traceJson());
+    std::string open;
+    for (std::string line; std::getline(json, line);) {
+        const std::string ph = rawField(line, "ph");
+        const std::string pid = rawField(line, "pid");
+        const std::string ids = pid + ":" + rawField(line, "tid");
+        if (ph == "M" && rawField(line, "name") == "process_name")
+            process[pid] = rawField(line, "args\":{\"name");
+        else if (ph == "M")
+            track[ids] = process[pid] + "/" +
+                         rawField(line, "args\":{\"name");
+        else if (ph == "B")
+            open = track[ids] + " " + rawField(line, "name") + " [" +
+                   rawField(line, "ts");
+        else if (ph == "E")
+            spans.push_back(open + ", " + rawField(line, "ts") + ")");
+    }
+    EXPECT_EQ(spans, (std::vector<std::string>{
+                         "channel0/bus data-in [0.000, 32.000)",
+                         "channel0/bus dma [37.000, 69.000)",
+                         "channel1/accel accel [0.000, 32.000)",
+                         "channel0/die0.plane0 program [32.000, 37.000)",
+                         "drive/external ext [0.000, 8.000)",
+                     }));
+}
+
 TEST(SchedulerTest, SharedChannelSerializesDma)
 {
     // Two dies on one channel: die work overlaps, channel does not.

@@ -2,8 +2,6 @@
  * @file
  * Cell-array tests: program/erase rules and the MWS conduction
  * primitive (AND within a string, OR across strings — Section 4.1).
- * Every test runs against both page-store backends — the NAND
- * semantics must not depend on how payloads are kept.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +12,10 @@
 namespace fcos::nand {
 namespace {
 
-class CellArrayTest : public ::testing::TestWithParam<PageStoreKind>
+class CellArrayTest : public ::testing::Test
 {
   protected:
-    CellArrayTest() : geom(Geometry::tiny()), cells(geom, GetParam()) {}
+    CellArrayTest() : geom(Geometry::tiny()), cells(geom) {}
 
     BitVector page(const std::string &prefix)
     {
@@ -32,7 +30,7 @@ class CellArrayTest : public ::testing::TestWithParam<PageStoreKind>
     PageMeta meta{};
 };
 
-TEST_P(CellArrayTest, ErasedPagesReadAllOnes)
+TEST_F(CellArrayTest, ErasedPagesReadAllOnes)
 {
     WordlineAddr a{0, 0, 0, 0};
     EXPECT_FALSE(cells.isProgrammed(a));
@@ -40,7 +38,7 @@ TEST_P(CellArrayTest, ErasedPagesReadAllOnes)
     EXPECT_TRUE(v.allOnes());
 }
 
-TEST_P(CellArrayTest, ProgramThenReadBack)
+TEST_F(CellArrayTest, ProgramThenReadBack)
 {
     WordlineAddr a{0, 1, 0, 3};
     BitVector data = page("0101");
@@ -51,7 +49,7 @@ TEST_P(CellArrayTest, ProgramThenReadBack)
     EXPECT_EQ(cells.pageData(a), data);
 }
 
-TEST_P(CellArrayTest, DoubleProgramWithoutEraseIsFatal)
+TEST_F(CellArrayTest, DoubleProgramWithoutEraseIsFatal)
 {
     WordlineAddr a{0, 0, 0, 0};
     cells.program(a, page("1"), meta);
@@ -59,7 +57,7 @@ TEST_P(CellArrayTest, DoubleProgramWithoutEraseIsFatal)
                 ::testing::ExitedWithCode(1), "without erase");
 }
 
-TEST_P(CellArrayTest, EraseClearsAllSubBlocksAndBumpsPec)
+TEST_F(CellArrayTest, EraseClearsAllSubBlocksAndBumpsPec)
 {
     WordlineAddr a{0, 2, 0, 1};
     WordlineAddr b{0, 2, 1, 5};
@@ -73,7 +71,7 @@ TEST_P(CellArrayTest, EraseClearsAllSubBlocksAndBumpsPec)
     cells.program(a, page("1"), meta); // reprogram after erase is legal
 }
 
-TEST_P(CellArrayTest, PecRecordedAtProgramTime)
+TEST_F(CellArrayTest, PecRecordedAtProgramTime)
 {
     cells.setBlockPec(0, 3, 1000);
     WordlineAddr a{0, 3, 0, 0};
@@ -82,7 +80,7 @@ TEST_P(CellArrayTest, PecRecordedAtProgramTime)
     EXPECT_EQ(cells.pageMeta(a)->pecAtProgram, 1000u);
 }
 
-TEST_P(CellArrayTest, IntraStringConductionIsAnd)
+TEST_F(CellArrayTest, IntraStringConductionIsAnd)
 {
     // Two wordlines of the same sub-block: conduction = AND.
     WordlineAddr w0{0, 0, 0, 0}, w1{0, 0, 0, 1};
@@ -96,7 +94,7 @@ TEST_P(CellArrayTest, IntraStringConductionIsAnd)
     EXPECT_FALSE(c.get(3));
 }
 
-TEST_P(CellArrayTest, InterStringConductionIsOr)
+TEST_F(CellArrayTest, InterStringConductionIsOr)
 {
     // Wordlines in different sub-blocks: conduction = OR.
     WordlineAddr w0{0, 0, 0, 0}, w1{0, 0, 1, 0};
@@ -110,7 +108,7 @@ TEST_P(CellArrayTest, InterStringConductionIsOr)
     EXPECT_FALSE(c.get(3));
 }
 
-TEST_P(CellArrayTest, CombinedConductionMatchesEquationOne)
+TEST_F(CellArrayTest, CombinedConductionMatchesEquationOne)
 {
     // (A1 . A2) + (B1 . B2) — Equation 1 of the paper.
     Rng rng = Rng::seeded(11);
@@ -129,7 +127,7 @@ TEST_P(CellArrayTest, CombinedConductionMatchesEquationOne)
     EXPECT_EQ(c, (a1 & a2) | (b1 & b2));
 }
 
-TEST_P(CellArrayTest, NonTargetWordlinesDoNotAffectConduction)
+TEST_F(CellArrayTest, NonTargetWordlinesDoNotAffectConduction)
 {
     // V_PASS on non-target wordlines turns them on regardless of
     // state: programming neighbours must not change the result.
@@ -143,7 +141,7 @@ TEST_P(CellArrayTest, NonTargetWordlinesDoNotAffectConduction)
     EXPECT_EQ(before, after);
 }
 
-TEST_P(CellArrayTest, FullStringSensing)
+TEST_F(CellArrayTest, FullStringSensing)
 {
     // All wordlines of a sub-block participate (the paper's 48-operand
     // AND, scaled to the tiny geometry's 8).
@@ -162,7 +160,7 @@ TEST_P(CellArrayTest, FullStringSensing)
     EXPECT_EQ(c, expected);
 }
 
-TEST_P(CellArrayTest, SelectionValidation)
+TEST_F(CellArrayTest, SelectionValidation)
 {
     EXPECT_DEATH(cells.senseConduction(0, {}, nullptr, 0), "empty");
     EXPECT_DEATH(
@@ -173,7 +171,7 @@ TEST_P(CellArrayTest, SelectionValidation)
                  "beyond string length");
 }
 
-TEST_P(CellArrayTest, ProgrammedPageAccounting)
+TEST_F(CellArrayTest, ProgrammedPageAccounting)
 {
     EXPECT_EQ(cells.programmedPages(), 0u);
     cells.program({0, 0, 0, 0}, page("1"), meta);
@@ -183,7 +181,7 @@ TEST_P(CellArrayTest, ProgrammedPageAccounting)
     EXPECT_EQ(cells.programmedPages(), 1u);
 }
 
-TEST_P(CellArrayTest, ProceduralImagesSenseLikeTheirMaterialization)
+TEST_F(CellArrayTest, ProceduralImagesSenseLikeTheirMaterialization)
 {
     // A descriptor-programmed page must sense exactly as if its
     // materialized payload had been programmed densely.
@@ -201,13 +199,6 @@ TEST_P(CellArrayTest, ProceduralImagesSenseLikeTheirMaterialization)
     checkered.fillCheckered(true);
     EXPECT_EQ(cells.pageData({0, 0, 1, 0}), checkered);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, CellArrayTest,
-    ::testing::Values(PageStoreKind::Dense, PageStoreKind::Sparse),
-    [](const ::testing::TestParamInfo<PageStoreKind> &info) {
-        return std::string(pageStoreName(info.param));
-    });
 
 } // namespace
 } // namespace fcos::nand

@@ -60,6 +60,36 @@ TEST_F(ChipTest, EspProgramUsesExtendedLatency)
     EXPECT_FALSE(pm->randomized);
 }
 
+TEST(ChipEspTest, EspModeProgramMatchesProgramPageEsp)
+{
+    // programPage(..., SlcEsp) and programPageEsp() are two entries to
+    // one ESP program: same latency, same energy and the same recorded
+    // context, so the error model charges both pages the ESP rate. tESP
+    // follows tPROG(SLC): 400 us at Table 1's 200 us, 600 us at 300 us.
+    for (double t_slc_us : {200.0, 300.0}) {
+        Timings timings;
+        timings.tProgSlc = usToTime(t_slc_us);
+        NandChip chip(Geometry::tiny(), timings);
+        Rng rng = Rng::seeded(7);
+        const BitVector data = test::randomPage(rng, chip.geometry());
+        const WordlineAddr a{0, 1, 0, 0}, b{0, 2, 0, 0};
+        OpResult via_mode = chip.programPage(a, data, ProgramMode::SlcEsp);
+        OpResult via_esp = chip.programPageEsp(b, data);
+        EXPECT_EQ(via_mode.latency, usToTime(2.0 * t_slc_us));
+        EXPECT_EQ(via_esp.latency, via_mode.latency);
+        EXPECT_DOUBLE_EQ(via_esp.energyJ, via_mode.energyJ);
+
+        const PageMeta *ma = chip.cells().pageMeta(a);
+        const PageMeta *mb = chip.cells().pageMeta(b);
+        ASSERT_NE(ma, nullptr);
+        ASSERT_NE(mb, nullptr);
+        EXPECT_EQ(ma->mode, mb->mode);
+        EXPECT_EQ(ma->espFactor, mb->espFactor);
+        EXPECT_EQ(ma->randomized, mb->randomized);
+        EXPECT_EQ(ma->pecAtProgram, mb->pecAtProgram);
+    }
+}
+
 TEST_F(ChipTest, IntraBlockMwsComputesAnd)
 {
     Rng rng = Rng::seeded(4);

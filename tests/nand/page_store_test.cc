@@ -1,19 +1,21 @@
 /**
  * @file
- * Dense <-> sparse page-store equivalence and the sparse backend's
- * scale contract.
+ * Payload <-> descriptor page equivalence and the page store's scale
+ * contract.
  *
- * The equivalence half drives two identically seeded chips — one per
- * backend — through identical programs (dense payloads, procedural
- * descriptors, inverted descriptors) and the shared random MWS command
- * corpus, with the V_TH error model attached: sensed bits, conduction,
- * latch state and injected-error positions must match exactly. It runs
- * once on Geometry::tiny(), whose 256-bit pages the sparse backend
- * stores inline, and once on a page one word wider, which keeps its
- * descriptors and materializes per sense. The scale half instantiates
- * a full Table-1 die, programs under 1% of its pages procedurally, and
- * pins the heap footprint — the property that lets Table-1 drives run
- * inside CTest.
+ * The equivalence half drives two identically seeded twin chips
+ * through the same page population (dense payloads, procedural
+ * descriptors, inverted descriptors, checkered images) and the shared
+ * random MWS command corpus, with the V_TH error model attached. Twin
+ * A programs every page as its materialized payload
+ * (PageImage::dense(img.materialize(bits))), twin B the descriptor
+ * itself: sensed bits, both latches and injected-error counts must
+ * match exactly. It runs once on Geometry::tiny(), whose 256-bit pages
+ * the store keeps inline, and once on a page one word wider, where
+ * twin A keeps dense payloads and twin B descriptors that materialize
+ * per sense. The scale half instantiates a full Table-1 die, programs
+ * under 1% of its pages procedurally, and pins the heap footprint —
+ * the property that lets Table-1 drives run inside CTest.
  */
 
 #include <gtest/gtest.h>
@@ -34,18 +36,23 @@ struct InjectedChip
     rel::VthErrorInjector injector;
     NandChip chip;
 
-    InjectedChip(const Geometry &geom, PageStoreKind store)
+    explicit InjectedChip(const Geometry &geom)
         : injector(model, rel::OperatingCondition{10000, 12.0, false}),
-          chip(geom, Timings{}, &injector, store)
+          chip(geom, Timings{}, &injector)
     {}
 };
 
-/** Program the same mixed page population on both chips: dense random
- *  payloads, procedural descriptors, inverted and checkered images. */
+/** Program the same mixed page population on both twins: dense random
+ *  payloads, procedural descriptors, inverted and checkered images.
+ *  @p payload gets each image as its materialized payload,
+ *  @p descriptor the image itself. */
 void
-programTwin(InjectedChip &a, InjectedChip &b, const Geometry &geom,
-            std::uint64_t seed)
+programTwin(InjectedChip &payload, InjectedChip &descriptor,
+            const Geometry &geom, std::uint64_t seed)
 {
+    const auto asPayload = [&geom](const PageImage &img) {
+        return PageImage::dense(img.materialize(geom.pageBits()));
+    };
     Rng rng = Rng::seeded(seed);
     for (std::uint32_t blk = 0; blk < geom.blocksPerPlane; ++blk) {
         for (std::uint32_t sb = 0; sb < geom.subBlocksPerBlock; ++sb) {
@@ -61,30 +68,34 @@ programTwin(InjectedChip &a, InjectedChip &b, const Geometry &geom,
                   case 0: { // dense payload
                     BitVector v(geom.pageBits());
                     v.randomize(rng);
-                    a.chip.programPageEsp(addr, v, EspParams{2.0});
-                    b.chip.programPageEsp(addr, v, EspParams{2.0});
+                    payload.chip.programPageEsp(addr, v, EspParams{2.0});
+                    descriptor.chip.programPageEsp(addr, v,
+                                                   EspParams{2.0});
                     break;
                   }
                   case 1: { // procedural random descriptor
                     PageImage img = PageImage::random(rng.nextU64());
-                    a.chip.programPageEsp(addr, img, EspParams{2.0});
-                    b.chip.programPageEsp(addr, img, EspParams{2.0});
+                    payload.chip.programPageEsp(addr, asPayload(img),
+                                                EspParams{2.0});
+                    descriptor.chip.programPageEsp(addr, img,
+                                                   EspParams{2.0});
                     break;
                   }
                   case 2: { // inverted descriptor (De Morgan storage)
                     PageImage img =
                         PageImage::random(rng.nextU64()).inverted();
-                    a.chip.programPage(addr, img);
-                    b.chip.programPage(addr, img);
+                    payload.chip.programPage(addr, asPayload(img));
+                    descriptor.chip.programPage(addr, img);
                     break;
                   }
                   default: { // checkered worst-case pattern
                     PageImage img = PageImage::checkered(
                         rng.nextBounded(2) == 0);
-                    a.chip.programPage(addr, img,
-                                       ProgramMode::SlcRegular, true);
-                    b.chip.programPage(addr, img,
-                                       ProgramMode::SlcRegular, true);
+                    payload.chip.programPage(addr, asPayload(img),
+                                             ProgramMode::SlcRegular,
+                                             true);
+                    descriptor.chip.programPage(
+                        addr, img, ProgramMode::SlcRegular, true);
                     break;
                   }
                 }
@@ -93,20 +104,18 @@ programTwin(InjectedChip &a, InjectedChip &b, const Geometry &geom,
     }
 }
 
-/** Program the mixed population on a dense and a sparse chip of
+/** Program the mixed population on payload and descriptor twins of
  *  @p geom, run the shared MWS command corpus on both and require
  *  identical results and injected errors. */
 void
 expectCorpusSensesIdentically(const Geometry &geom)
 {
-    InjectedChip dense(geom, PageStoreKind::Dense);
-    InjectedChip sparse(geom, PageStoreKind::Sparse);
-    ASSERT_EQ(dense.chip.cells().storeKind(), PageStoreKind::Dense);
-    ASSERT_EQ(sparse.chip.cells().storeKind(), PageStoreKind::Sparse);
+    InjectedChip payload(geom);
+    InjectedChip descriptor(geom);
 
-    programTwin(dense, sparse, geom, 99);
-    ASSERT_EQ(dense.chip.cells().programmedPages(),
-              sparse.chip.cells().programmedPages());
+    programTwin(payload, descriptor, geom, 99);
+    ASSERT_EQ(payload.chip.cells().programmedPages(),
+              descriptor.chip.cells().programmedPages());
 
     // The shared random command generator: same sequence of
     // well-formed MWS commands executed on both chips.
@@ -116,70 +125,82 @@ expectCorpusSensesIdentically(const Geometry &geom)
         // An inverse read requires S-latch initialization.
         if (cmd.flags.inverseRead)
             cmd.flags.initSenseLatch = true;
-        OpResult ra = dense.chip.executeMws(cmd);
-        OpResult rb = sparse.chip.executeMws(cmd);
+        OpResult ra = payload.chip.executeMws(cmd);
+        OpResult rb = descriptor.chip.executeMws(cmd);
         EXPECT_EQ(ra.latency, rb.latency);
         EXPECT_DOUBLE_EQ(ra.energyJ, rb.energyJ);
-        ASSERT_EQ(dense.chip.dataOut(cmd.plane),
-                  sparse.chip.dataOut(cmd.plane))
+        ASSERT_EQ(payload.chip.dataOut(cmd.plane),
+                  descriptor.chip.dataOut(cmd.plane))
             << "command " << i << " diverged";
-        ASSERT_EQ(dense.chip.latches(cmd.plane).sense(),
-                  sparse.chip.latches(cmd.plane).sense())
+        ASSERT_EQ(payload.chip.latches(cmd.plane).sense(),
+                  descriptor.chip.latches(cmd.plane).sense())
             << "command " << i << " sense latch diverged";
     }
 
     // Identical injected-error accounting: every (page, sense) seed
-    // must have drawn the same error positions on both backends.
-    EXPECT_EQ(dense.injector.injectedErrors(),
-              sparse.injector.injectedErrors());
-    EXPECT_EQ(dense.injector.sensedBits(), sparse.injector.sensedBits());
-    EXPECT_GT(dense.injector.injectedErrors(), 0u)
+    // must have drawn the same error positions on both twins.
+    EXPECT_EQ(payload.injector.injectedErrors(),
+              descriptor.injector.injectedErrors());
+    EXPECT_EQ(payload.injector.sensedBits(),
+              descriptor.injector.sensedBits());
+    EXPECT_GT(payload.injector.injectedErrors(), 0u)
         << "the equivalence run never exercised the error model";
 }
 
-TEST(PageStoreEquivalenceTest, CorpusSensesIdenticallyOnBothBackends)
+TEST(PageStoreEquivalenceTest, CorpusSensesIdenticallyFromPayloadOrDescriptor)
 {
     expectCorpusSensesIdentically(Geometry::tiny());
 }
 
 TEST(PageStoreEquivalenceTest, WiderThanInlinePagesSenseIdentically)
 {
-    // One word wider than the inline window: the sparse backend keeps
-    // the descriptors and takes the per-sense generator path.
+    // One word wider than the inline window: the store keeps the
+    // descriptors and takes the per-sense generator path. A kept
+    // descriptor counts its entry's bookkeeping and no payload, so a
+    // second page programmed as a dense payload adds exactly one entry
+    // plus that payload's bytes.
     Geometry geom = Geometry::tiny();
     geom.pageBytes = 40;
     ASSERT_GT(geom.pageBits(), PageImage::kInlineBits);
-    auto store = PageStore::make(PageStoreKind::Sparse, geom.pageBits());
-    store->program(0, PageImage::random(1), PageMeta{});
-    EXPECT_EQ(store->find(0)->image.kind(), PageImage::Kind::Random);
+    CellArray cells(geom);
+    const PageImage img = PageImage::random(1);
+    cells.program({0, 0, 0, 0}, img, PageMeta{});
+    const std::size_t entry = cells.contentBytes();
+    const PageImage dense = PageImage::dense(img.materialize(geom.pageBits()));
+    ASSERT_GT(dense.heapBytes(), 0u);
+    cells.program({0, 0, 0, 1}, dense, PageMeta{});
+    EXPECT_EQ(cells.contentBytes(), 2 * entry + dense.heapBytes());
+    EXPECT_EQ(cells.pageData({0, 0, 0, 0}), cells.pageData({0, 0, 0, 1}));
     expectCorpusSensesIdentically(geom);
 }
 
-TEST(PageStoreEquivalenceTest, ConductionMatchesAcrossBackends)
+TEST(PageStoreEquivalenceTest, ConductionMatchesFromPayloadOrDescriptor)
 {
     const Geometry geom = Geometry::tiny();
-    CellArray dense(geom, PageStoreKind::Dense);
-    CellArray sparse(geom, PageStoreKind::Sparse);
+    CellArray payload(geom);
+    CellArray descriptor(geom);
     PageMeta meta;
     Rng rng = Rng::seeded(5);
     for (std::uint32_t wl = 0; wl < geom.wordlinesPerSubBlock; wl += 2) {
         PageImage img = PageImage::random(rng.nextU64(), 0.7);
-        dense.program({0, 1, 0, wl}, img, meta);
-        sparse.program({0, 1, 0, wl}, img, meta);
+        payload.program({0, 1, 0, wl},
+                        PageImage::dense(img.materialize(geom.pageBits())),
+                        meta);
+        descriptor.program({0, 1, 0, wl}, img, meta);
     }
     std::vector<WlSelection> sels{{1, 0, 0b010101}, {1, 1, 0b1}};
-    EXPECT_EQ(dense.senseConduction(0, sels, nullptr, 0),
-              sparse.senseConduction(0, sels, nullptr, 0));
+    EXPECT_EQ(payload.senseConduction(0, sels, nullptr, 0),
+              descriptor.senseConduction(0, sels, nullptr, 0));
 }
 
 TEST(PageStoreScaleTest, Table1ChipStaysUnderByteBudget)
 {
     // A full Table-1 die with < 1% of its pages programmed must not
     // cost more than a pinned budget. Dense payloads for the same
-    // population would be pages * 16 KiB (> 60 MiB); the sparse
-    // descriptors stay around a hundred bytes per page.
+    // population would be pages * 16 KiB (> 60 MiB); the descriptors
+    // stay around a hundred bytes per page.
     const Geometry geom = Geometry::table1();
-    NandChip chip(geom, Timings{}, nullptr, PageStoreKind::Sparse);
+    NandChip chip(geom);
 
     const std::uint64_t total_pages =
         static_cast<std::uint64_t>(geom.planesPerDie) *
@@ -215,9 +236,9 @@ TEST(PageStoreScaleTest, Table1ChipStaysUnderByteBudget)
     chip.executeMws(cmd);
     EXPECT_LT(chip.cells().contentBytes(), kBudgetBytes);
 
-    // The same population on the dense backend pays full payloads:
-    // the sparse footprint must be at least 50x smaller than the
-    // dense payload bytes alone.
+    // The same population programmed as payloads pays full pages: the
+    // descriptor footprint must be at least 50x smaller than the
+    // payload bytes alone.
     EXPECT_LT(chip.cells().contentBytes() * 50,
               programmed * geom.pageBytes);
 }
@@ -226,9 +247,9 @@ TEST(PageImageTest, RandomImagesMatchSeededRandomize)
 {
     // Pages of at most Mt19937_64::kMaxFirstOutputs words (156 words,
     // 9984 bits) take the MT19937-64 prefix path at p = 0.5; wider pages
-    // and any other p take randomize(). Page stores call this per sense
-    // only for pages wider than PageImage::kInlineBits, and once at
-    // program time for the rest. Every width must give exactly what
+    // and any other p take randomize(). The cell array calls this per
+    // sense only for pages wider than PageImage::kInlineBits, and once
+    // at program time for the rest. Every width must give exactly what
     // randomize() on a seeded Rng gives, tail bits included.
     for (std::size_t bits : {1u, 63u, 64u, 256u, 9984u, 9985u, 131072u}) {
         for (double p : {0.5, 0.98}) {
@@ -287,13 +308,13 @@ TEST(PageImageTest, InlineImagesHoldNoHeap)
     }
 
     // A GC copyback programs the destination from the latched page
-    // (a dense image); on a tiny sparse chip it adds only its entry's
+    // (a dense image); on a tiny chip it adds only its entry's
     // bookkeeping, the same bytes as a procedural page.
     const Geometry geom = Geometry::tiny();
-    CellArray one(geom, PageStoreKind::Sparse);
+    CellArray one(geom);
     one.program({0, 0, 0, 0}, PageImage::random(4), PageMeta{});
     const std::size_t entry = one.contentBytes();
-    NandChip chip(geom, Timings{}, nullptr, PageStoreKind::Sparse);
+    NandChip chip(geom);
     chip.programPageEsp({0, 1, 0, 0}, v, EspParams{2.0});
     EXPECT_EQ(chip.cells().contentBytes(), entry);
     chip.copyback({0, 1, 0, 0}, {0, 2, 0, 0});
@@ -332,7 +353,7 @@ TEST(PageStoreScaleTest, BroadcastCopiesShareOnePayload)
     // CoW dense images: N broadcast copies of one page must account
     // roughly one payload, not N.
     const Geometry geom = Geometry::table1();
-    CellArray cells(geom, PageStoreKind::Sparse);
+    CellArray cells(geom);
     PageMeta meta;
     BitVector payload(geom.pageBits());
     Rng rng = Rng::seeded(8);
