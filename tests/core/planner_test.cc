@@ -1,14 +1,20 @@
 /**
  * @file
  * Planner unit tests: expression -> MWS command-chain compilation
- * against a scripted storage layout.
+ * against a scripted storage layout, plus a seeded random corpus whose
+ * plans are pinned byte for byte in golden/plan_corpus.txt.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+
 #include "core/plan.h"
 #include "core/planner.h"
+#include "tests/support/golden.h"
 #include "tests/support/scripted_storage.h"
+#include "util/rng.h"
 
 namespace fcos::core {
 namespace {
@@ -307,6 +313,100 @@ TEST_F(PlannerTest, SenseCountMatchesCommands)
         leaves.push_back(Expr::leaf(v));
     MwsPlan p = plan(Expr::And(leaves));
     EXPECT_EQ(p.senseCount(), 1u);
+}
+
+
+// ---------------------------------------------------------------------
+// Plan corpus: random expressions over random layouts, pinned verbatim.
+// ---------------------------------------------------------------------
+
+/** Uniform index below @p n (plain modulo, so the corpus does not
+ *  depend on the standard library's distributions). */
+std::size_t
+pick(Rng &rng, std::size_t n)
+{
+    return static_cast<std::size_t>(rng.nextU64() % n);
+}
+
+/**
+ * Random expression over vectors [0, @p vectors) with exactly
+ * @p leaves leaves and at most @p depth operator levels. Needs
+ * depth >= 1 when leaves > 1.
+ */
+Expr
+randomExpr(Rng &rng, std::size_t leaves, int depth, std::size_t vectors)
+{
+    if (leaves == 1) {
+        Expr leaf = Expr::leaf(static_cast<VectorId>(pick(rng, vectors)));
+        if (depth > 0 && pick(rng, 4) == 0)
+            return Expr::Not(std::move(leaf));
+        return leaf;
+    }
+    static constexpr BitOp kOps[] = {BitOp::And, BitOp::Or,  BitOp::Nand,
+                                     BitOp::Nor, BitOp::Not, BitOp::Xor,
+                                     BitOp::Xnor};
+    BitOp op = kOps[pick(rng, std::size(kOps))];
+    if (op == BitOp::Not) {
+        if (depth >= 2)
+            return Expr::Not(randomExpr(rng, leaves, depth - 1, vectors));
+        op = BitOp::And;
+    }
+    // Two-child XOR needs a second level unless both halves are leaves.
+    if ((op == BitOp::Xor || op == BitOp::Xnor) && depth < 2 && leaves > 2)
+        op = BitOp::Or;
+    std::size_t arity = 2;
+    if (op != BitOp::Xor && op != BitOp::Xnor)
+        arity = depth == 1 ? leaves : 2 + pick(rng, leaves - 1);
+    // Every child gets one leaf; the rest land on random children.
+    std::vector<std::size_t> share(arity, 1);
+    for (std::size_t i = arity; i < leaves; ++i)
+        ++share[pick(rng, arity)];
+    std::vector<Expr> children;
+    for (std::size_t n : share)
+        children.push_back(randomExpr(rng, n, depth - 1, vectors));
+    return Expr::apply(op, std::move(children));
+}
+
+TEST(PlanCorpusTest, RandomExpressionsPlanAsPinned)
+{
+    // Each layout scripts 12 vectors onto 1-4 string keys, all plain,
+    // all inverse-stored or of random polarity; its header line lists
+    // them ("v3=k1~": v3 on string key 1, stored inverted). Each
+    // expression has 1-12 leaves and at most 4 operator levels; its
+    // line holds the expression, "=>" and the plan on one line.
+    constexpr int kLayouts = 60;
+    constexpr int kExprsPerLayout = 8;
+    constexpr std::size_t kVectors = 12;
+    Rng rng = Rng::seeded(2024);
+    std::string out;
+    for (int l = 0; l < kLayouts; ++l) {
+        test::ScriptedStorage storage;
+        const std::size_t keys = 1 + pick(rng, 4);
+        const std::size_t polarity = pick(rng, 3);
+        out += "# layout " + std::to_string(l) + ":";
+        for (std::size_t v = 0; v < kVectors; ++v) {
+            const std::uint64_t key = pick(rng, keys);
+            const bool inverted =
+                polarity == 2 ? pick(rng, 2) == 1 : polarity == 1;
+            storage.place(static_cast<VectorId>(v), key, inverted);
+            out += " v" + std::to_string(v) + "=k" + std::to_string(key) +
+                   (inverted ? "~" : "");
+        }
+        out += "\n";
+        Planner planner(storage);
+        for (int e = 0; e < kExprsPerLayout; ++e) {
+            const std::size_t leaves = 1 + pick(rng, 12);
+            const int depth = static_cast<int>(
+                leaves == 1 ? pick(rng, 5) : 1 + pick(rng, 4));
+            const Expr expr = randomExpr(rng, leaves, depth, kVectors);
+            std::string plan = planner.plan(expr).toString();
+            for (std::size_t at = plan.find("\n  ");
+                 at != std::string::npos; at = plan.find("\n  "))
+                plan.replace(at, 3, " | ");
+            out += expr.toString() + " => " + plan + "\n";
+        }
+    }
+    EXPECT_TRUE(test::MatchesGolden(out, "golden/plan_corpus.txt"));
 }
 
 } // namespace
