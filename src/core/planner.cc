@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 
 #include "util/log.h"
@@ -136,44 +137,35 @@ Planner::flatten(Nnf &n)
 }
 
 bool
-Planner::normalLiteralOk(const Literal &l) const
+Planner::literalOk(const Literal &l, bool inverse) const
 {
-    // The sensed (stored) data must equal the literal's value.
-    return storage_.isStoredInverted(l.id) == l.negated;
-}
-
-bool
-Planner::inverseLiteralOk(const Literal &l) const
-{
-    // The sensed data must equal the literal's complement.
-    return storage_.isStoredInverted(l.id) != l.negated;
+    // A normal sense reads the stored data, an inverse sense its
+    // complement; either must equal the literal's value.
+    return storage_.isStoredInverted(l.id) == (l.negated != inverse);
 }
 
 std::optional<PlanString>
-Planner::normalString(const Nnf &n) const
+Planner::polarString(const Nnf &n, bool inverse) const
 {
-    // A string computes AND of its members' stored data, so it can
-    // realize a single literal or an AND of co-located literals.
+    // A normal string senses AND of its members' stored data, an
+    // inverse string OR of their complements, so either realizes one
+    // literal or its own connective over co-located literals.
     if (n.kind == Nnf::Kind::Lit) {
-        if (!normalLiteralOk(n.lit))
+        if (!literalOk(n.lit, inverse))
             return std::nullopt;
         return PlanString{{n.lit}};
     }
-    if (n.kind != Nnf::Kind::And)
+    if (n.kind != (inverse ? Nnf::Kind::Or : Nnf::Kind::And))
         return std::nullopt;
     PlanString s;
-    std::uint64_t key = 0;
-    bool first = true;
+    std::optional<std::uint64_t> key;
     for (const Nnf &c : n.children) {
-        if (c.kind != Nnf::Kind::Lit || !normalLiteralOk(c.lit))
+        if (c.kind != Nnf::Kind::Lit || !literalOk(c.lit, inverse))
             return std::nullopt;
-        std::uint64_t k = storage_.stringKey(c.lit.id);
-        if (first) {
-            key = k;
-            first = false;
-        } else if (k != key) {
+        const std::uint64_t k = storage_.stringKey(c.lit.id);
+        if (key && k != *key)
             return std::nullopt; // not co-located in one sub-block
-        }
+        key = k;
         s.members.push_back(c.lit);
     }
     return s;
@@ -182,285 +174,129 @@ Planner::normalString(const Nnf &n) const
 std::optional<PlanCommand>
 Planner::singleCommand(const Nnf &n) const
 {
-    switch (n.kind) {
-      case Nnf::Kind::Lit: {
-        PlanCommand cmd;
-        if (normalLiteralOk(n.lit)) {
-            cmd.inverse = false;
-        } else {
-            cmd.inverse = true; // sensed data is the complement
-        }
+    if (n.kind == Nnf::Kind::Xor)
+        return std::nullopt;
+    PlanCommand cmd;
+    if (n.kind == Nnf::Kind::Lit) {
+        // An inverse sense of a complement-stored literal reads its
+        // value.
+        cmd.inverse = !literalOk(n.lit, false);
         cmd.strings.push_back(PlanString{{n.lit}});
         return cmd;
-      }
-      case Nnf::Kind::And: {
-        // (i) one co-located string sensed normally;
-        if (auto s = normalString(n)) {
-            PlanCommand cmd;
-            cmd.inverse = false;
-            cmd.strings.push_back(std::move(*s));
-            return cmd;
-        }
-        // (ii) inverse command: AND over strings of OR over each
-        // string's complemented stored data. Children may be literals
-        // (1-member strings) or OR groups of co-located inverse-stored
-        // literals (Figure 16's first command).
-        PlanCommand cmd;
-        cmd.inverse = true;
-        for (const Nnf &c : n.children) {
-            if (c.kind == Nnf::Kind::Lit) {
-                if (!inverseLiteralOk(c.lit))
-                    return std::nullopt;
-                cmd.strings.push_back(PlanString{{c.lit}});
-            } else if (c.kind == Nnf::Kind::Or) {
-                PlanString s;
-                std::uint64_t key = 0;
-                bool first = true;
-                for (const Nnf &gc : c.children) {
-                    if (gc.kind != Nnf::Kind::Lit ||
-                        !inverseLiteralOk(gc.lit))
-                        return std::nullopt;
-                    std::uint64_t k = storage_.stringKey(gc.lit.id);
-                    if (first) {
-                        key = k;
-                        first = false;
-                    } else if (k != key) {
-                        return std::nullopt;
-                    }
-                    s.members.push_back(gc.lit);
-                }
-                cmd.strings.push_back(std::move(s));
-            } else {
-                return std::nullopt;
-            }
-        }
-        if (cmd.strings.size() > PlanCommand::kMaxStrings)
-            return std::nullopt;
-        return cmd;
-      }
-      case Nnf::Kind::Or: {
-        // (a) inverse: one co-located string of inverse-stored
-        // literals — NOT(AND(stored)) == OR(values) (§6.1).
-        {
-            PlanString s;
-            std::uint64_t key = 0;
-            bool first = true;
-            bool ok = true;
-            for (const Nnf &c : n.children) {
-                if (c.kind != Nnf::Kind::Lit ||
-                    !inverseLiteralOk(c.lit)) {
-                    ok = false;
-                    break;
-                }
-                std::uint64_t k = storage_.stringKey(c.lit.id);
-                if (first) {
-                    key = k;
-                    first = false;
-                } else if (k != key) {
-                    ok = false;
-                    break;
-                }
-                s.members.push_back(c.lit);
-            }
-            if (ok) {
-                PlanCommand cmd;
-                cmd.inverse = true;
-                cmd.strings.push_back(std::move(s));
-                return cmd;
-            }
-        }
-        // (b) normal: OR over up to four strings (literals or
-        // co-located AND groups) — inter-block MWS.
-        PlanCommand cmd;
-        cmd.inverse = false;
-        for (const Nnf &c : n.children) {
-            auto s = normalString(c);
-            if (!s)
-                return std::nullopt;
-            cmd.strings.push_back(std::move(*s));
-        }
-        if (cmd.strings.size() > PlanCommand::kMaxStrings)
-            return std::nullopt;
-        return cmd;
-      }
-      case Nnf::Kind::Xor:
-        return std::nullopt;
     }
-    return std::nullopt;
+    // (i) The whole node as one string of its own polarity: an AND of
+    // co-located literals sensed normally, or an OR of co-located
+    // literals sensed inverse (NOT(AND(stored)) == OR(values), §6.1).
+    const bool is_or = n.kind == Nnf::Kind::Or;
+    if (auto s = polarString(n, is_or)) {
+        cmd.inverse = is_or;
+        cmd.strings.push_back(std::move(*s));
+        return cmd;
+    }
+    // (ii) One string per child in the dual polarity: a normal command
+    // ORs its strings (inter-block MWS), an inverse one ANDs them
+    // (Figure 16's first command).
+    cmd.inverse = !is_or;
+    for (const Nnf &c : n.children) {
+        auto s = polarString(c, !is_or);
+        if (!s)
+            return std::nullopt;
+        cmd.strings.push_back(std::move(*s));
+    }
+    if (cmd.strings.size() > PlanCommand::kMaxStrings)
+        return std::nullopt;
+    return cmd;
 }
 
 std::optional<std::vector<PlanCommand>>
 Planner::planChain(const Nnf &n) const
 {
-    if (n.kind == Nnf::Kind::Lit) {
-        auto cmd = singleCommand(n);
-        if (!cmd)
-            return std::nullopt;
-        return std::vector<PlanCommand>{std::move(*cmd)};
-    }
+    if (n.kind == Nnf::Kind::Lit)
+        return std::vector<PlanCommand>{*singleCommand(n)};
     if (n.kind == Nnf::Kind::Xor)
         return std::nullopt;
 
-    bool is_and = (n.kind == Nnf::Kind::And);
-    MergeMode merge = is_and ? MergeMode::And : MergeMode::Or;
-
-    std::vector<PlanCommand> built;    // commands from batchable factors
-    std::vector<PlanCommand> deep;     // chain of the one deep child
-    bool have_deep = false;
-
-    if (is_and) {
-        // Pools: plain co-located literal groups (one intra-block MWS
-        // each) and inverse strings (literals + OR groups, <= 4 per
-        // inverse command).
-        std::map<std::uint64_t, PlanString> normal_groups;
-        std::vector<PlanString> inverse_pool;
-        for (const Nnf &c : n.children) {
-            if (c.kind == Nnf::Kind::Lit && normalLiteralOk(c.lit)) {
-                normal_groups[storage_.stringKey(c.lit.id)]
-                    .members.push_back(c.lit);
-                continue;
-            }
-            if (c.kind == Nnf::Kind::Lit && inverseLiteralOk(c.lit)) {
-                inverse_pool.push_back(PlanString{{c.lit}});
-                continue;
-            }
-            if (c.kind == Nnf::Kind::Or) {
-                // Try the inverse-string realization for pooling.
-                PlanString s;
-                std::uint64_t key = 0;
-                bool first = true;
-                bool ok = true;
-                for (const Nnf &gc : c.children) {
-                    if (gc.kind != Nnf::Kind::Lit ||
-                        !inverseLiteralOk(gc.lit)) {
-                        ok = false;
-                        break;
-                    }
-                    std::uint64_t k = storage_.stringKey(gc.lit.id);
-                    if (first) {
-                        key = k;
-                        first = false;
-                    } else if (k != key) {
-                        ok = false;
-                        break;
-                    }
-                    s.members.push_back(gc.lit);
-                }
-                if (ok) {
-                    inverse_pool.push_back(std::move(s));
-                    continue;
-                }
-            }
-            if (auto cmd = singleCommand(c)) {
-                built.push_back(std::move(*cmd));
-                continue;
-            }
+    // An AND node folds normal strings with the AND-merge dump, an OR
+    // node inverse strings with the OR transfer. Literals of the node's
+    // own polarity that share a string key form one string, one command
+    // each (intra-block MWS); strings of the dual polarity pool,
+    // kMaxStrings to a command (inter-block MWS).
+    const bool is_or = n.kind == Nnf::Kind::Or;
+    std::map<std::uint64_t, PlanString> groups;
+    std::vector<PlanString> pool;
+    std::vector<PlanCommand> built; // commands from batchable factors
+    std::vector<PlanCommand> deep;  // chain of the one deep child
+    for (const Nnf &c : n.children) {
+        if (c.kind == Nnf::Kind::Lit && literalOk(c.lit, is_or)) {
+            groups[storage_.stringKey(c.lit.id)].members.push_back(c.lit);
+        } else if (auto s = polarString(c, !is_or)) {
+            pool.push_back(std::move(*s));
+        } else if (auto cmd = singleCommand(c)) {
+            built.push_back(std::move(*cmd));
+        } else {
             auto chain = planChain(c);
-            if (!chain || have_deep)
+            if (!chain || !deep.empty())
                 return std::nullopt; // only one accumulator exists
             deep = std::move(*chain);
-            have_deep = true;
-        }
-        for (auto &[key, s] : normal_groups) {
-            (void)key;
-            PlanCommand cmd;
-            cmd.inverse = false;
-            cmd.strings.push_back(std::move(s));
-            built.push_back(std::move(cmd));
-        }
-        for (std::size_t i = 0; i < inverse_pool.size();
-             i += PlanCommand::kMaxStrings) {
-            PlanCommand cmd;
-            cmd.inverse = true;
-            for (std::size_t j = i;
-                 j < std::min(inverse_pool.size(),
-                              i + PlanCommand::kMaxStrings);
-                 ++j)
-                cmd.strings.push_back(std::move(inverse_pool[j]));
-            built.push_back(std::move(cmd));
-        }
-    } else {
-        // OR chain. Pools: normal strings (literals and co-located AND
-        // groups, <= 4 strings per inter-block MWS) and co-located
-        // inverse-stored literal groups (one inverse command each).
-        std::vector<PlanString> normal_pool;
-        std::map<std::uint64_t, PlanString> inverse_groups;
-        for (const Nnf &c : n.children) {
-            if (auto s = normalString(c)) {
-                normal_pool.push_back(std::move(*s));
-                continue;
-            }
-            if (c.kind == Nnf::Kind::Lit && inverseLiteralOk(c.lit)) {
-                inverse_groups[storage_.stringKey(c.lit.id)]
-                    .members.push_back(c.lit);
-                continue;
-            }
-            if (auto cmd = singleCommand(c)) {
-                built.push_back(std::move(*cmd));
-                continue;
-            }
-            auto chain = planChain(c);
-            if (!chain || have_deep)
-                return std::nullopt;
-            deep = std::move(*chain);
-            have_deep = true;
-        }
-        // Pack the pooled strings into inter-block commands. A chained
-        // (multi-member AND-group) string may share a command with
-        // plain strings only when the whole pool fits in one command —
-        // the KCS fusion, where the OR operands ride as the AND
-        // command's spare string slots. Beyond that budget chained
-        // strings and plain strings pack into *separate* commands
-        // (each kMaxStrings at a time), exactly how the analytic
-        // sense-count model (PlatformRunner::fcSensesPerRow) charges
-        // wide mixed batches: AND commands first, then OR-merge
-        // commands of plain strings. Mixing the two pools would beat
-        // the model and break the functional-vs-timing certification.
-        auto pack = [&built](std::vector<PlanString> &pool) {
-            for (std::size_t i = 0; i < pool.size();
-                 i += PlanCommand::kMaxStrings) {
-                PlanCommand cmd;
-                cmd.inverse = false;
-                for (std::size_t j = i;
-                     j < std::min(pool.size(),
-                                  i + PlanCommand::kMaxStrings);
-                     ++j)
-                    cmd.strings.push_back(std::move(pool[j]));
-                built.push_back(std::move(cmd));
-            }
-        };
-        if (normal_pool.size() <= PlanCommand::kMaxStrings) {
-            pack(normal_pool);
-        } else {
-            std::vector<PlanString> chained, singles;
-            for (PlanString &s : normal_pool)
-                (s.members.size() > 1 ? chained : singles)
-                    .push_back(std::move(s));
-            pack(chained);
-            pack(singles);
-        }
-        for (auto &[key, s] : inverse_groups) {
-            (void)key;
-            PlanCommand cmd;
-            cmd.inverse = true;
-            cmd.strings.push_back(std::move(s));
-            built.push_back(std::move(cmd));
         }
     }
 
-    std::vector<PlanCommand> chain;
-    if (have_deep) {
-        chain = std::move(deep);
+    auto appendGroups = [&] {
+        for (auto &[key, s] : groups) {
+            (void)key;
+            PlanCommand cmd;
+            cmd.inverse = is_or;
+            cmd.strings.push_back(std::move(s));
+            built.push_back(std::move(cmd));
+        }
+    };
+    auto pack = [&](auto first, auto last) {
+        while (first != last) {
+            const auto step = std::min<std::ptrdiff_t>(
+                last - first, PlanCommand::kMaxStrings);
+            PlanCommand cmd;
+            cmd.inverse = !is_or;
+            cmd.strings.assign(std::make_move_iterator(first),
+                               std::make_move_iterator(first + step));
+            built.push_back(std::move(cmd));
+            first += step;
+        }
+    };
+    auto appendPool = [&] {
+        // An OR pool's chained (multi-member AND-group) string shares a
+        // command with plain strings only when the whole pool fits in
+        // one command: the KCS fusion, where the OR operands ride as
+        // the AND command's spare string slots. A wider OR pool packs
+        // its chained strings and its plain strings into separate
+        // commands, exactly how the analytic sense-count model
+        // (PlatformRunner::fcSensesPerRow) charges wide mixed batches:
+        // AND commands first, then OR-merge commands of plain strings.
+        // Mixing the two would beat the model and break the
+        // functional-vs-timing certification.
+        auto split = pool.end();
+        if (is_or && pool.size() > PlanCommand::kMaxStrings)
+            split = std::stable_partition(
+                pool.begin(), pool.end(),
+                [](const PlanString &s) { return s.members.size() > 1; });
+        pack(pool.begin(), split);
+        pack(split, pool.end());
+    };
+    // AND appends its intra-block groups first, OR its pool first.
+    if (is_or) {
+        appendPool();
+        appendGroups();
     } else {
-        fcos_assert(!built.empty(), "chain with no commands");
-        chain.push_back(std::move(built.front()));
-        built.erase(built.begin());
-        chain.front().merge = MergeMode::Copy;
+        appendGroups();
+        appendPool();
     }
+
+    std::vector<PlanCommand> chain = std::move(deep);
+    const MergeMode merge = is_or ? MergeMode::Or : MergeMode::And;
     for (auto &cmd : built) {
-        cmd.merge = merge;
+        cmd.merge = chain.empty() ? MergeMode::Copy : merge;
         chain.push_back(std::move(cmd));
     }
+    fcos_assert(!chain.empty(), "chain with no commands");
     return chain;
 }
 
@@ -502,31 +338,15 @@ Planner::plan(const Expr &expr) const
         return f;
     }
 
+    // Every rule holds with its De Morgan dual (AND with OR, normal
+    // with inverse sensing), so NOT(expr) linearizes exactly when expr
+    // does and there is no complement to retry.
     if (auto chain = planChain(nnf)) {
+        fcos_assert(chain->front().merge == MergeMode::Copy,
+                    "a chain opens with a copy");
         MwsPlan p;
         p.commands = std::move(*chain);
-        p.commands.front().merge = MergeMode::Copy;
         return p;
-    }
-
-    // Try the complement: NOT(expr) may linearize even when expr does
-    // not (e.g. NAND over plain-stored operands).
-    Nnf comp = toNnf(expr, true);
-    flatten(comp);
-    if (comp.kind != Nnf::Kind::Xor) {
-        if (auto chain = planChain(comp)) {
-            MwsPlan p;
-            p.commands = std::move(*chain);
-            p.commands.front().merge = MergeMode::Copy;
-            if (p.commands.size() == 1) {
-                // A single command inverts for free via inverse mode.
-                p.commands.front().inverse =
-                    !p.commands.front().inverse;
-            } else {
-                p.finalInvert = true;
-            }
-            return p;
-        }
     }
 
     MwsPlan p;

@@ -53,7 +53,7 @@ requestClassName(RequestClass cls)
 }
 
 RequestQueue::RequestQueue(CommandScheduler &sched, const Config &cfg)
-    : sched_(sched), cfg_(cfg)
+    : sched_(sched), cfg_(cfg), m_epoch_(obs::metricsEpoch())
 {
     fcos_assert(cfg_.depth >= 1, "admission depth must be >= 1");
     for (std::size_t c = 0; c < kRequestClassCount; ++c)
@@ -192,10 +192,8 @@ RequestQueue::pumpAdmission()
 
         Request &r = reqs_.at(id);
         r.admitted = sched_.queue().now();
-        if (obs::metricsOn()) {
-            const auto epoch = obs::metricsEpoch();
-            if (epoch != m_epoch_) {
-                m_epoch_ = epoch;
+        if (obs::metricsLive(m_epoch_)) {
+            if (!inflight_peak_) {
                 for (std::size_t c = 0; c < kRequestClassCount; ++c) {
                     wait_hist_[c] = &obs::metrics().histogram(
                         std::string("engine.admission.wait.") +

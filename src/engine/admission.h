@@ -183,8 +183,10 @@ class RequestQueue
     std::uint64_t admitted_[kRequestClassCount] = {};
     std::uint64_t completed_ = 0;
 
-    /** Lazily resolved per-class queue-wait histograms (+ peak
-     *  in-flight gauge); all recording happens in serial contexts. */
+    /** Metrics epoch at construction (a queue built outside a
+     *  capture stays quiet in it) and the lazily resolved per-class
+     *  queue-wait histograms (+ peak in-flight gauge); all recording
+     *  happens in serial contexts. */
     std::uint64_t m_epoch_ = 0;
     obs::Histogram *wait_hist_[kRequestClassCount] = {};
     obs::Gauge *inflight_peak_ = nullptr;

@@ -54,9 +54,7 @@ NandChip::programPage(const WordlineAddr &addr, const PageImage &image,
     meta.randomized = randomized;
     meta.espFactor =
         (mode == ProgramMode::SlcEsp) ? EspParams{}.tEspFactor : 1.0;
-    cells_.program(addr, image, meta);
-    Time t = timing_.timings().programLatency(mode);
-    return {t, PowerModel::energy(PowerModel::kProgramPower, t)};
+    return storePage(addr, image, meta);
 }
 
 OpResult
@@ -74,9 +72,19 @@ NandChip::programPageEsp(const WordlineAddr &addr, const PageImage &image,
     meta.mode = ProgramMode::SlcEsp;
     meta.randomized = false; // Flash-Cosmos stores operands unrandomized
     meta.espFactor = esp.tEspFactor;
-    cells_.program(addr, image, meta);
-    Time t = esp.latency(timing_.timings());
-    return {t, PowerModel::energy(PowerModel::kProgramPower, t)};
+    return storePage(addr, image, meta);
+}
+
+OpResult
+NandChip::storePage(const WordlineAddr &addr, PageImage image,
+                    const PageMeta &meta)
+{
+    cells_.program(addr, std::move(image), meta);
+    const Timings &t = timing_.timings();
+    const Time latency = meta.mode == ProgramMode::SlcEsp
+                             ? EspParams{meta.espFactor}.latency(t)
+                             : t.programLatency(meta.mode);
+    return {latency, PowerModel::energy(PowerModel::kProgramPower, latency)};
 }
 
 OpResult
@@ -157,17 +165,13 @@ NandChip::programFromCache(const WordlineAddr &addr, ProgramMode mode,
                            const EspParams &esp)
 {
     checkAddr(geom_, addr);
-    const BitVector &data = latches_[addr.plane].cache();
     PageMeta meta;
     meta.mode = mode;
     meta.randomized = false;
     meta.espFactor =
         (mode == ProgramMode::SlcEsp) ? esp.tEspFactor : 1.0;
-    cells_.program(addr, data, meta);
-    Time t = (mode == ProgramMode::SlcEsp)
-                 ? esp.latency(timing_.timings())
-                 : timing_.timings().programLatency(mode);
-    return {t, PowerModel::energy(PowerModel::kProgramPower, t)};
+    return storePage(addr, PageImage::dense(latches_[addr.plane].cache()),
+                     meta);
 }
 
 OpResult
@@ -178,25 +182,17 @@ NandChip::copyback(const WordlineAddr &src, const WordlineAddr &dst)
     fcos_assert(src.plane == dst.plane,
                 "copyback cannot cross planes (no shared latches)");
     const PageMeta *pm = cells_.pageMeta(src);
-    ProgramMode mode = pm ? pm->mode : ProgramMode::SlcRegular;
-    EspParams esp{pm ? pm->espFactor : 1.0};
+    PageMeta meta;
+    meta.mode = pm ? pm->mode : ProgramMode::SlcRegular;
+    meta.randomized = pm ? pm->randomized : false;
+    meta.espFactor = pm ? pm->espFactor : 1.0;
 
     // Read phase latches the inverse of the stored data...
     OpResult read = readPage(src, true);
     // ...and the program phase writes the latch complement back.
-    LatchArray &l = latches_[src.plane];
-    BitVector restored = ~l.cache();
-    PageMeta meta;
-    meta.mode = mode;
-    meta.randomized = pm ? pm->randomized : false;
-    meta.espFactor = esp.tEspFactor;
-    cells_.program(dst, restored, meta);
-    Time t_prog = (mode == ProgramMode::SlcEsp)
-                      ? esp.latency(timing_.timings())
-                      : timing_.timings().programLatency(mode);
-    return {read.latency + t_prog,
-            read.energyJ +
-                PowerModel::energy(PowerModel::kProgramPower, t_prog)};
+    OpResult prog = storePage(
+        dst, PageImage::dense(~latches_[src.plane].cache()), meta);
+    return {read.latency + prog.latency, read.energyJ + prog.energyJ};
 }
 
 bool

@@ -56,7 +56,6 @@ class NandChip
              PageStoreKind = PageStoreKind::Sparse);
 
     const Geometry &geometry() const { return geom_; }
-    const TimingModel &timingModel() const { return timing_; }
     CellArray &cells() { return cells_; }
     const CellArray &cells() const { return cells_; }
 
@@ -150,6 +149,12 @@ class NandChip
     std::uint64_t senseCount(std::uint32_t plane) const;
 
   private:
+    /** The one program rule: store @p image under @p meta; an SlcEsp
+     *  page takes tESP from its own factor, any other mode
+     *  programLatency(mode), and the energy is program power over it. */
+    OpResult storePage(const WordlineAddr &addr, PageImage image,
+                       const PageMeta &meta);
+
     OpResult senseCommon(std::uint32_t plane,
                          const std::vector<WlSelection> &selections,
                          const IscmFlags &flags);

@@ -8,6 +8,7 @@
 #include "core/planner.h"
 #include "engine/engine.h"
 #include "engine/result_stream.h"
+#include "host/host_model.h"
 #include "nand/power_model.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -282,59 +283,73 @@ channelSlice(const ssd::SsdConfig &cfg)
     return chan_cfg;
 }
 
-/** Scale per-channel energies to the whole SSD and finish the result.
- *  Host CPU time-based energy and the (single) controller are not
- *  per-channel. */
-RunResult
-finalizeResult(const ssd::SsdConfig &cfg, Time makespan,
-               std::uint64_t sense_ops, Time plane_busy, Time channel_busy,
-               Time external_busy, Time host_busy, ssd::EnergyMeter meter)
+/**
+ * One simulated channel of the symmetric SSD (see file comment): its
+ * configuration slice, its engine, and a host model streaming at the
+ * channel's fair share of the host rate.
+ */
+struct ChannelSim
 {
-    RunResult r;
-    r.makespan = makespan;
-    r.planeBusy = plane_busy;
-    r.channelBusy = channel_busy;
-    r.externalBusy = external_busy;
-    r.hostBusy = host_busy;
-    r.senseOps = sense_ops * cfg.channels;
+    explicit ChannelSim(const ssd::SsdConfig &ssd_cfg)
+        : cfg(channelSlice(ssd_cfg)), eng(cfg), sched(eng.scheduler()),
+          host(sched.queue(), sched.energy(), hostShare(ssd_cfg.channels))
+    {}
 
-    double ch = static_cast<double>(cfg.channels);
-    for (ssd::EnergyComponent c :
-         {ssd::EnergyComponent::NandRead, ssd::EnergyComponent::NandMws,
-          ssd::EnergyComponent::NandProgram,
-          ssd::EnergyComponent::NandErase,
-          ssd::EnergyComponent::ChannelDma,
-          ssd::EnergyComponent::ExternalLink,
-          ssd::EnergyComponent::IspAccel,
-          ssd::EnergyComponent::HostDram})
-        meter.scale(c, ch);
-    meter.add(ssd::EnergyComponent::Controller,
-              cfg.io.controllerActiveWatts * timeToSec(makespan));
-    r.meter = meter;
-    r.energyJ = meter.total();
-    return r;
-}
+    static host::HostConfig hostShare(std::uint32_t channels)
+    {
+        host::HostConfig h;
+        h.streamGBps /= channels;
+        return h;
+    }
+
+    /** Scale per-channel energies to the whole SSD @p ssd_cfg and
+     *  finish the result. Host CPU time-based energy and the (single)
+     *  controller are not per-channel. */
+    RunResult result(const ssd::SsdConfig &ssd_cfg, Time makespan,
+                     std::uint64_t sense_ops) const
+    {
+        RunResult r;
+        r.makespan = makespan;
+        r.planeBusy = sched.maxPlaneBusyTime();
+        r.channelBusy = sched.channelBusyTime(0);
+        r.externalBusy = sched.externalBusyTime();
+        r.hostBusy = host.busyTime();
+        r.senseOps = sense_ops * ssd_cfg.channels;
+
+        ssd::EnergyMeter meter = sched.energy();
+        double ch = static_cast<double>(ssd_cfg.channels);
+        for (ssd::EnergyComponent c :
+             {ssd::EnergyComponent::NandRead, ssd::EnergyComponent::NandMws,
+              ssd::EnergyComponent::NandProgram,
+              ssd::EnergyComponent::NandErase,
+              ssd::EnergyComponent::ChannelDma,
+              ssd::EnergyComponent::ExternalLink,
+              ssd::EnergyComponent::IspAccel,
+              ssd::EnergyComponent::HostDram})
+            meter.scale(c, ch);
+        meter.add(ssd::EnergyComponent::Controller,
+                  ssd_cfg.io.controllerActiveWatts * timeToSec(makespan));
+        r.meter = meter;
+        r.energyJ = meter.total();
+        return r;
+    }
+
+    ssd::SsdConfig cfg;
+    engine::ComputeEngine eng;
+    engine::CommandScheduler &sched;
+    host::HostModel host;
+};
 
 } // namespace
 
 RunResult
 PlatformRunner::run(PlatformKind kind, const wl::Workload &workload) const
 {
-    ssd::SsdConfig chan_cfg = channelSlice(cfg_);
-    host::HostConfig host_cfg = host_cfg_;
-    host_cfg.streamGBps = host_cfg_.streamGBps / cfg_.channels;
-
-    engine::ComputeEngine eng(chan_cfg);
-    engine::CommandScheduler &sched = eng.scheduler();
-    host::HostModel host(sched.queue(), sched.energy(), host_cfg);
+    ChannelSim ch(cfg_);
     std::uint64_t sense_ops =
-        driveWorkload(kind, workload, cfg_, chan_cfg, sched, host);
-    Time makespan = eng.drain();
-    return finalizeResult(cfg_, makespan, sense_ops,
-                          sched.maxPlaneBusyTime(),
-                          sched.channelBusyTime(0),
-                          sched.externalBusyTime(), host.busyTime(),
-                          sched.energy());
+        driveWorkload(kind, workload, cfg_, ch.cfg, ch.sched, ch.host);
+    Time makespan = ch.eng.drain();
+    return ch.result(cfg_, makespan, sense_ops);
 }
 
 namespace {
@@ -451,13 +466,11 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                               std::uint64_t seed, core::ResultSink &sink,
                               StreamStats *stream_stats) const
 {
-    ssd::SsdConfig chan_cfg = channelSlice(cfg_);
-    host::HostConfig host_cfg = host_cfg_;
-    host_cfg.streamGBps = host_cfg_.streamGBps / cfg_.channels;
-
-    engine::ComputeEngine eng(chan_cfg);
-    engine::CommandScheduler &sched = eng.scheduler();
-    host::HostModel host(sched.queue(), sched.energy(), host_cfg);
+    ChannelSim ch(cfg_);
+    const ssd::SsdConfig &chan_cfg = ch.cfg;
+    engine::ComputeEngine &eng = ch.eng;
+    engine::CommandScheduler &sched = ch.sched;
+    host::HostModel &host = ch.host;
 
     const nand::Geometry &geom = chan_cfg.geometry;
     const std::uint64_t page_bits = geom.pageBits();
@@ -611,11 +624,7 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
         stream_stats->peakBufferedPages = stream.peakBufferedPages();
     }
     sink.end();
-    return finalizeResult(cfg_, makespan, sense_ops,
-                          sched.maxPlaneBusyTime(),
-                          sched.channelBusyTime(0),
-                          sched.externalBusyTime(), host.busyTime(),
-                          sched.energy());
+    return ch.result(cfg_, makespan, sense_ops);
 }
 
 BitVector

@@ -39,7 +39,6 @@
 #include <cstdint>
 
 #include "core/result_sink.h"
-#include "host/host_model.h"
 #include "ssd/config.h"
 #include "ssd/energy.h"
 #include "util/bitvector.h"
@@ -68,21 +67,14 @@ struct RunResult
     Time channelBusy = 0;
     Time externalBusy = 0;
     Time hostBusy = 0;
-
-    /** Bits per joule (Figure 18's metric, before normalization). */
-    double bitsPerJoule(double computed_bits) const
-    {
-        return computed_bits / energyJ;
-    }
 };
 
 class PlatformRunner
 {
   public:
     explicit PlatformRunner(
-        const ssd::SsdConfig &cfg = ssd::SsdConfig::table1(),
-        const host::HostConfig &host_cfg = host::HostConfig{})
-        : cfg_(cfg), host_cfg_(host_cfg)
+        const ssd::SsdConfig &cfg = ssd::SsdConfig::table1())
+        : cfg_(cfg)
     {}
 
     const ssd::SsdConfig &config() const { return cfg_; }
@@ -171,7 +163,6 @@ class PlatformRunner
 
   private:
     ssd::SsdConfig cfg_;
-    host::HostConfig host_cfg_;
 };
 
 } // namespace fcos::plat

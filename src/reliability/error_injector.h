@@ -36,11 +36,7 @@ class VthErrorInjector : public nand::ErrorInjector
         : model_(model), cond_(cond), quality_(quality), base_seed_(seed)
     {}
 
-    /** Update the operating condition (e.g. ageing between reads). */
-    void setCondition(const OperatingCondition &cond) { cond_ = cond; }
     const OperatingCondition &condition() const { return cond_; }
-
-    void setQuality(double q) { quality_ = q; }
 
     /** Total bit errors injected so far (campaign bookkeeping). */
     std::uint64_t injectedErrors() const { return injected_.load(); }
@@ -53,8 +49,10 @@ class VthErrorInjector : public nand::ErrorInjector
 
   private:
     const VthModel &model_;
-    OperatingCondition cond_;
-    double quality_;
+    /** Fixed at construction: inject() reads both in the parallel
+     *  worker phase. */
+    const OperatingCondition cond_;
+    const double quality_;
     std::uint64_t base_seed_;
     /** inject() runs in the engine's parallel worker phase; the flip
      *  pattern is a pure function of (seed, page) so the only shared

@@ -68,9 +68,6 @@ class BitVector
     /** Number of '1' bits. */
     std::size_t popcount() const;
 
-    /** Number of '0' bits. */
-    std::size_t zeroCount() const { return size() - popcount(); }
-
     /** True if every bit is '1'. */
     bool allOnes() const;
 

@@ -203,6 +203,23 @@ TEST(ObsSessionTest, EpochGuardDistinguishesSessions)
     EXPECT_FALSE(obs::metricsOn());
 }
 
+TEST(ObsSessionTest, DriveBuiltOutsideCaptureStaysQuiet)
+{
+    // The engine of a drive built before the capture, its admission
+    // queue included, holds a stale epoch and records no engine.* row
+    // into the scoped registry. (The read's result stream is built
+    // inside the capture, so its stream.* rows may land.)
+    core::FlashCosmosDrive::Config cfg;
+    core::FlashCosmosDrive drive(cfg);
+    obs::ScopedCapture cap(/*trace=*/false, /*metrics=*/true);
+    Rng rng = Rng::seeded(516);
+    core::VectorId v =
+        drive.fcWrite(test::randomVec(rng, cfg.geometry.pageBits()));
+    drive.readVector(v);
+    EXPECT_EQ(cap.metricsText().find("engine."), std::string::npos)
+        << cap.metricsText();
+}
+
 // ---------------------------------------------------------------------
 // End-to-end drive capture
 // ---------------------------------------------------------------------

@@ -4,14 +4,20 @@
 # Runs every bench_* program except bench_micro_engine (its Google
 # Benchmark timings differ from run to run) and every example_*
 # program in both trees, with no arguments, and diffs their stdout and
-# exit status. A change meant to keep every result identical (a
-# refactor, a deletion) should pass it against a build of its parent.
+# exit status. Each run also writes its metrics report
+# (FCOS_METRICS=<file>); the two reports are diffed without their
+# host.* rows, which time the host and differ from run to run, and
+# with runs of spaces and the dashed rules collapsed, since a host.*
+# row can set a column's width. A program that writes no report in
+# either tree counts as the same. A change meant to keep every result
+# identical (a refactor, a deletion) should pass it against a build of
+# its parent.
 #
 # Usage: tools/compare_outputs.sh <build-a> <build-b>
 #
-# Exit status: 0 when every program printed the same bytes and exit
-# status in both trees and none printed MISMATCH; 1 otherwise; 2 on a
-# usage error. The two trees' copies of one program run side by side,
+# Exit status: 0 when every program printed the same bytes, exit
+# status and metrics in both trees and none printed MISMATCH; 1
+# otherwise; 2 on a usage error. The two trees' copies of one program run side by side,
 # so a pass takes about as long as one tree's programs run in series.
 
 set -u
@@ -39,11 +45,26 @@ if [ ${#programs[@]} -eq 0 ]; then
 fi
 
 # Run one program of one tree in its own scratch directory, so files
-# it writes land nowhere else; its stdout ends with its exit status.
+# it writes land nowhere else; its stdout ends with its exit status and
+# its metrics report goes to $dst.metrics.
 run() {
     local bin=$1 dst=$2 dir
     dir=$(mktemp -d "$out/cwd.XXXXXX")
-    (cd "$dir" && "$bin" > "$dst" 2> "$dst.err"; echo "exit $?" >> "$dst")
+    (cd "$dir" && FCOS_METRICS="$dst.metrics" "$bin" > "$dst" 2> "$dst.err"
+     echo "exit $?" >> "$dst")
+}
+
+# A metrics report without its host.* rows, spacing or dashed rules.
+simulated_metrics() {
+    grep -v '^host\.' "$1" | sed -E 's/ +/ /g; s/ $//; /^-+$/d'
+}
+
+# Same metrics: neither run wrote a report, or both wrote the same one.
+metrics_same() {
+    local a=$1 b=$2
+    [ -e "$a" ] || [ -e "$b" ] || return 0
+    [ -e "$a" ] && [ -e "$b" ] || return 1
+    cmp -s <(simulated_metrics "$a") <(simulated_metrics "$b")
 }
 
 fail=0
@@ -63,6 +84,10 @@ for name in "${programs[@]}"; do
     if ! cmp -s "$out/$name.a" "$out/$name.b"; then
         status=DIFF
         diff "$out/$name.a" "$out/$name.b" | head -20 >&2
+    elif ! metrics_same "$out/$name.a.metrics" "$out/$name.b.metrics"; then
+        status=DIFF
+        diff <(simulated_metrics "$out/$name.a.metrics" 2>&1) \
+            <(simulated_metrics "$out/$name.b.metrics" 2>&1) | head -20 >&2
     elif grep -q MISMATCH "$out/$name.a"; then
         status=MISMATCH
     fi
@@ -74,4 +99,4 @@ if [ $fail -ne 0 ]; then
     echo "outputs differ between $a and $b" >&2
     exit 1
 fi
-echo "all ${#programs[@]} programs print identical output"
+echo "all ${#programs[@]} programs print identical output and metrics"
