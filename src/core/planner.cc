@@ -281,7 +281,8 @@ Planner::planChain(const Nnf &n) const
         pack(pool.begin(), split);
         pack(split, pool.end());
     };
-    // AND appends its intra-block groups first, OR its pool first.
+    // Not dual, and part of every pinned plan: an AND chain appends its
+    // groups first, an OR chain its pool first.
     if (is_or) {
         appendPool();
         appendGroups();
