@@ -114,7 +114,8 @@ BENCHMARK(BM_PopcountAtLevel)->Arg(0)->Arg(1)->Arg(2);
 void
 BM_DigestAtLevel(benchmark::State &state)
 {
-    // fnvBytes over one page of words, as DigestSink folds a full chunk.
+    // fnvBytes over one page of words, as PageSummary::of hashes a full
+    // result page on its die's lane.
     IsaLevel level;
     if (!pinIsaLevel(state, level))
         return;

@@ -40,13 +40,14 @@ FlashCosmosDrive::FlashCosmosDrive(const Config &cfg)
       rq_(engine_.scheduler(), cfg.admission),
       ftl_(cfg.dieCount(), cfg.geometry), planner_(*this)
 {
-    // Reserve one erased wordline per column for the final-NOT trick,
-    // pinned so GC never relocates it (it must stay unprogrammed).
-    erased_ref_.reserve(ftl_.columns());
-    for (ssd::Lpn lpn : ftl_.allocateStriped(ftl_.columns())) {
+    // One wordline per column stays allocated, pinned and never
+    // programmed. No plan senses it (the planner never needs a final
+    // NOT), but every later placement is laid out behind it: without
+    // it each vector lands one page earlier, which moves the timelines
+    // the concurrent-request, mixed-traffic and soak goldens pin. A
+    // change that re-pins those goldens anyway can drop it.
+    for (ssd::Lpn lpn : ftl_.allocateStriped(ftl_.columns()))
         ftl_.pin(lpn);
-        erased_ref_.push_back(ftl_.physOf(lpn));
-    }
     // Request spans share the scheduler's "drive" trace process.
     const engine::CommandScheduler &sched = engine_.scheduler();
     if (obs::traceLive(sched.traceEpoch())) {
@@ -401,6 +402,13 @@ FlashCosmosDrive::submitPageWrite(RequestState &r, const ssd::PhysPage &dst,
     submitProgram(r, engine::stepProgram(dst.die, dst.addr.plane, std::move(st)));
 }
 
+std::uint64_t
+FlashCosmosDrive::pageValidBits(std::uint64_t j, std::uint64_t bits) const
+{
+    const std::uint64_t page_bits = cfg_.geometry.pageBits();
+    return std::min<std::uint64_t>(page_bits, bits - j * page_bits);
+}
+
 engine::OrderedChunkStream::Emit
 FlashCosmosDrive::openSink(RequestState &r, ResultSink &sink,
                            std::uint64_t pages, std::uint64_t bits)
@@ -409,20 +417,19 @@ FlashCosmosDrive::openSink(RequestState &r, ResultSink &sink,
     r.sink = &sink;
     r.pages = pages;
     sink.begin(StreamShape{pages, page_bits, bits});
-    // Page j is clamped to the vector's tail.
-    return [&sink, page_bits, bits](std::uint64_t j, BitVector page) {
+    return [this, &sink, page_bits, bits](std::uint64_t j, BitVector page,
+                                          PageSummary summary) {
         fcos_assert(!page.empty(), "column %llu produced no result",
                     (unsigned long long)j);
-        std::uint64_t begin = j * page_bits;
-        std::uint64_t len = std::min<std::uint64_t>(page_bits, bits - begin);
-        sink.consume(ResultChunk{j, begin, len, page});
+        sink.consume(ResultChunk{j, j * page_bits, pageValidBits(j, bits),
+                                 page, summary});
     };
 }
 
 void
-FlashCosmosDrive::submitFallback(RequestState &r, const Expr &expr,
-                                 std::uint64_t pages,
-                                 engine::OrderedChunkStream::Emit use)
+FlashCosmosDrive::submitFallback(
+    RequestState &r, const Expr &expr, std::uint64_t pages,
+    std::function<void(std::uint64_t, BitVector)> use)
 {
     r.leafPages.resize(pages);
     r.leafReadsLeft = pages;
@@ -631,6 +638,7 @@ FlashCosmosDrive::submitStreamedRead(
                 pages, openSink(r, sink, pages, bits));
             for (std::size_t j = 0; j < pages; ++j) {
                 engine::ColumnProgram prog = make_program(j);
+                prog.resultBits = pageValidBits(j, bits);
                 prog.onResult = r.stream->handler(j);
                 submitProgram(r, std::move(prog));
             }
@@ -659,7 +667,15 @@ FlashCosmosDrive::submitRead(const Expr &expr, ResultSink &sink,
         stats, ro,
         [this, &sink, expr, pages = o.pages,
          bits = o.bits](RequestState &r) {
-            submitFallback(r, expr, pages, openSink(r, sink, pages, bits));
+            // Controller-evaluated pages are summarized on the host.
+            submitFallback(
+                r, expr, pages,
+                [this, bits, emit = openSink(r, sink, pages, bits)](
+                    std::uint64_t j, BitVector page) {
+                    const PageSummary summary =
+                        PageSummary::of(page, pageValidBits(j, bits));
+                    emit(j, std::move(page), summary);
+                });
         });
 }
 
@@ -850,19 +866,14 @@ FlashCosmosDrive::planProgram(const MwsPlan &plan, const Expr &expr,
                               std::size_t page_index) const
 {
     engine::ColumnProgram prog = columnProgram(expr, page_index);
-    const std::uint32_t die = prog.die, plane = prog.plane;
-    std::uint32_t column = die * cfg_.geometry.planesPerDie + plane;
-    fcos_assert(erased_ref_[column].die == die, "erased ref layout");
-
     LoweringContext ctx;
-    ctx.plane = plane;
+    ctx.plane = prog.plane;
     ctx.addrOf = [this, page_index](VectorId id) {
         return pageAt(info(id), page_index).addr;
     };
     ctx.storedInverted = [this](VectorId id) {
         return info(id).inverted;
     };
-    ctx.erasedRef = &erased_ref_[column].addr;
 
     prog.steps = lowerPlan(plan, ctx);
     return prog;

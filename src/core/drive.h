@@ -484,7 +484,11 @@ class FlashCosmosDrive : public StorageResolver
      *  each column's evaluated page to @p use, in page order. */
     void submitFallback(RequestState &r, const Expr &expr,
                         std::uint64_t pages,
-                        engine::OrderedChunkStream::Emit use);
+                        std::function<void(std::uint64_t, BitVector)> use);
+
+    /** Valid bits of page @p j of a @p bits-bit vector (the last page
+     *  may be short). */
+    std::uint64_t pageValidBits(std::uint64_t j, std::uint64_t bits) const;
 
     /** Operand shape and plan of an fcRead/fcCompute expression:
      *  prepare() asserts a non-constant expression over operands of
@@ -525,10 +529,6 @@ class FlashCosmosDrive : public StorageResolver
     /** Recycled VectorId slots (LIFO), from trimVector. */
     std::vector<VectorId> free_ids_;
     GcTotals gc_;
-    /** Per column: a reserved, never-programmed wordline (senses as
-     *  all-'1'; used by the final-NOT XOR trick). Pinned in the FTL
-     *  so GC never relocates it — it must stay unprogrammed. */
-    std::vector<ssd::PhysPage> erased_ref_;
     /** Per-group lockstep bookkeeping (see makeVector). */
     struct GroupInfo
     {

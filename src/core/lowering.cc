@@ -111,24 +111,6 @@ lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
         steps.push_back(sense(std::move(cmd), or_merge_after));
     }
 
-    if (plan.finalInvert) {
-        // Sense the reserved erased wordline (reads all-'1'), then
-        // XOR it into the cache latch: C := NOT C.
-        fcos_assert(ctx.erasedRef != nullptr,
-                    "final NOT requires an erased reference wordline");
-        const nand::WordlineAddr &e = *ctx.erasedRef;
-        nand::MwsCommand cmd;
-        cmd.plane = ctx.plane;
-        cmd.flags.inverseRead = false;
-        cmd.flags.initSenseLatch = true;
-        cmd.flags.initCacheLatch = false;
-        cmd.flags.dumpToCache = false;
-        cmd.selections.push_back(
-            nand::WlSelection{e.block, e.subBlock, 1ULL << e.wordline});
-        steps.push_back(sense(std::move(cmd)));
-        steps.push_back(latchXor(ctx.plane));
-    }
-
     return steps;
 }
 

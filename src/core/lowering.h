@@ -38,9 +38,6 @@ struct LoweringContext
     std::function<nand::WordlineAddr(VectorId)> addrOf;
     /** Storage polarity (XOR plans fold it into the sensing mode). */
     std::function<bool(VectorId)> storedInverted;
-    /** Reserved never-programmed wordline (senses all-'1'), required
-     *  when the plan ends in a final NOT; may be null otherwise. */
-    const nand::WordlineAddr *erasedRef = nullptr;
 };
 
 /**

@@ -17,8 +17,9 @@
  * around: there is exactly one accumulator (the latch pair), so an
  * expression is executable iff it linearizes into single-command
  * factors folded one at a time. XOR/XNOR use the on-chip XOR between
- * the two latches; a final NOT uses the XOR-with-an-erased-wordline
- * trick (an erased page senses as all-'1').
+ * the two latches. A NOT never needs a command of its own: inverse
+ * sensing is the dual of normal sensing, so the planner folds every
+ * NOT into the sensing modes.
  */
 
 #ifndef FCOS_CORE_PLAN_H
@@ -83,8 +84,6 @@ struct MwsPlan
 
     // --- Kind::Mws ---
     std::vector<PlanCommand> commands;
-    /** Apply NOT at the end (XOR with an erased wordline). */
-    bool finalInvert = false;
 
     // --- Kind::Xor ---
     /** XOR chain members (>= 2): sensed one at a time, folded with the
@@ -103,7 +102,7 @@ struct MwsPlan
     {
         switch (kind) {
           case Kind::Mws:
-            return commands.size() + (finalInvert ? 1 : 0);
+            return commands.size();
           case Kind::Xor:
             return 2;
           case Kind::Fallback:

@@ -65,8 +65,6 @@ MwsPlan::toString() const
                 s += "}";
             }
         }
-        if (finalInvert)
-            s += "\n  [final invert]";
         return s;
       }
     }

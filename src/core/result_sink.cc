@@ -1,39 +1,8 @@
 #include "core/result_sink.h"
 
-#include <bit>
-
 #include "util/log.h"
 
 namespace fcos::core {
-
-namespace {
-
-/** Fold the valid prefix of @p chunk into @p h: whole words plus a
- *  masked tail word, with the chunk index mixed in first so chunk
- *  order is part of the digest. fnvWord() folds a word least
- *  significant byte first: on a little-endian host that is memory
- *  order, and the whole words go through fnvBytes() in one call. */
-std::uint64_t
-foldChunk(std::uint64_t h, const ResultChunk &chunk)
-{
-    h = fnvWord(h, chunk.index);
-    const std::vector<std::uint64_t> &words = chunk.page.words();
-    std::uint64_t full = chunk.bits / 64;
-    fcos_assert(BitVector::wordsFor(chunk.bits) <= words.size(),
-                "chunk shorter than its declared bit count");
-    if constexpr (std::endian::native == std::endian::little) {
-        h = fnvBytes(h, words.data(), full * sizeof(std::uint64_t));
-    } else {
-        for (std::uint64_t w = 0; w < full; ++w)
-            h = fnvWord(h, words[w]);
-    }
-    std::uint64_t tail = chunk.bits % 64;
-    if (tail)
-        h = fnvWord(h, words[full] & ((1ULL << tail) - 1));
-    return h;
-}
-
-} // namespace
 
 void
 DenseCollectSink::begin(const StreamShape &shape)
@@ -56,7 +25,7 @@ DenseCollectSink::consume(const ResultChunk &chunk)
 void
 DigestSink::consume(const ResultChunk &chunk)
 {
-    digest_ = foldChunk(digest_, chunk);
+    digest_ = fnvWord(digest_, chunk.summary.digest);
 }
 
 std::uint64_t
@@ -69,9 +38,9 @@ DigestSink::digestOf(const BitVector &v, std::uint64_t page_bits)
         std::uint64_t begin = j * page_bits;
         std::uint64_t len =
             std::min<std::uint64_t>(page_bits, v.size() - begin);
-        BitVector page(page_bits, false);
-        page.paste(0, v.slice(begin, len));
-        sink.consume(ResultChunk{j, begin, len, page});
+        const BitVector page = v.slice(begin, len);
+        sink.consume(
+            ResultChunk{j, begin, len, page, PageSummary::of(page, len)});
     }
     return sink.digest();
 }
@@ -79,15 +48,7 @@ DigestSink::digestOf(const BitVector &v, std::uint64_t page_bits)
 void
 PopcountSink::consume(const ResultChunk &chunk)
 {
-    const std::vector<std::uint64_t> &words = chunk.page.words();
-    std::uint64_t full = chunk.bits / 64;
-    std::uint64_t ones = popcountWords(words.data(), full);
-    std::uint64_t tail = chunk.bits % 64;
-    if (tail) {
-        const std::uint64_t last = words[full] & ((1ULL << tail) - 1);
-        ones += popcountWords(&last, 1);
-    }
-    ones_ += ones;
+    ones_ += chunk.summary.ones;
     bits_ += chunk.bits;
 }
 

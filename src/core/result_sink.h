@@ -13,7 +13,7 @@
  *  - DenseCollectSink  — assembles the dense vector (bit-for-bit the
  *    legacy return value; the BitVector-returning APIs wrap it);
  *  - ChunkCallbackSink — forwards each chunk to a user callback;
- *  - DigestSink        — running FNV-1a fold over the valid bits;
+ *  - DigestSink        — FNV-1a over the ordered page digests;
  *  - PopcountSink      — running population count;
  *  - SparseCompareSink — verifies each page against a procedural
  *    expectation (e.g. a nand::PageImage fold) as it arrives, never
@@ -22,7 +22,10 @@
  *
  * Chunks always arrive with strictly increasing page indices (the
  * engine's OrderedChunkStream re-orders out-of-order completions), so
- * streaming consumers need no reassembly logic of their own.
+ * streaming consumers need no reassembly logic of their own. Each
+ * chunk carries its engine::PageSummary, computed where the page was
+ * produced (on the die's worker lane for an engine page), so the
+ * digest and popcount sinks do O(1) work per chunk.
  */
 
 #ifndef FCOS_CORE_RESULT_SINK_H
@@ -32,6 +35,7 @@
 #include <functional>
 #include <vector>
 
+#include "engine/result_stream.h"
 #include "nand/page_store.h"
 #include "util/bitvector.h"
 #include "util/fnv.h"
@@ -46,17 +50,29 @@ struct StreamShape
     std::uint64_t totalBits = 0; ///< logical result size
 };
 
+using engine::PageSummary;
+
 /** One result page in flight. @p page holds a full page; only the
  *  first @p bits are part of the logical result (the tail of the last
- *  page is padding). The payload reference is valid ONLY for the
- *  duration of consume() — a sink that needs the bits later must copy
- *  them (storing a ResultChunk stores a dangling reference). */
+ *  page is padding). @p summary is PageSummary::of(page, bits), and a
+ *  chunk is never built without it. The payload reference is valid
+ *  ONLY for the duration of consume() — a sink that needs the bits
+ *  later must copy them (storing a ResultChunk stores a dangling
+ *  reference). */
 struct ResultChunk
 {
-    std::uint64_t index = 0;     ///< page index within the result
-    std::uint64_t bitOffset = 0; ///< == index * pageBits
-    std::uint64_t bits = 0;      ///< valid bits of this chunk
+    ResultChunk(std::uint64_t index, std::uint64_t bit_offset,
+                std::uint64_t bits, const BitVector &page,
+                PageSummary summary)
+        : index(index), bitOffset(bit_offset), bits(bits), page(page),
+          summary(summary)
+    {}
+
+    std::uint64_t index;     ///< page index within the result
+    std::uint64_t bitOffset; ///< == index * pageBits
+    std::uint64_t bits;      ///< valid bits of this chunk
     const BitVector &page;
+    PageSummary summary;     ///< digest and ones of the valid bits
 };
 
 class ResultSink
@@ -102,12 +118,14 @@ class ChunkCallbackSink final : public ResultSink
 };
 
 /**
- * Order-sensitive running digest (64-bit FNV-1a over the valid words
- * of every chunk, with each chunk's index folded in). Two streams have
- * equal digests iff they delivered identical payloads in identical
- * chunk order — the determinism suite's cross-farm-shape certificate.
- * A chunk's whole words go through fnvBytes() (util/fnv.h), which runs
- * at the host's vector width and gives the byte loop's bits.
+ * Order-sensitive stream digest: 64-bit FNV-1a, from kFnvOffset, over
+ * the sequence of page digests (PageSummary::digest, each folded as 8
+ * bytes with fnvWord()) in page order. Page order fixes each page's
+ * place, so no index is folded. Two streams have equal digests iff
+ * they delivered identical payloads in identical chunk order (up to
+ * hash collisions) — the determinism suite's cross-farm-shape
+ * certificate. The page digests are computed where the pages are
+ * produced, so this sink does 8 bytes of hashing per page.
  */
 class DigestSink final : public ResultSink
 {
@@ -125,7 +143,8 @@ class DigestSink final : public ResultSink
     std::uint64_t digest_ = kFnvOffset;
 };
 
-/** Running population count over the valid bits of every chunk. */
+/** Running population count over the valid bits of every chunk (the
+ *  sum of the chunks' PageSummary::ones). */
 class PopcountSink final : public ResultSink
 {
   public:

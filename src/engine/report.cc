@@ -111,7 +111,7 @@ scalingReport(const std::vector<ScalingConfig> &configs,
                     static_cast<std::size_t>(col) * pages_per_column +
                     row;
                 prog.onResult = [&results, &arrived,
-                                 slot](BitVector page) {
+                                 slot](BitVector page, PageSummary) {
                     results[slot] = std::move(page);
                     arrived[slot] = true;
                 };

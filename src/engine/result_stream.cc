@@ -1,8 +1,39 @@
 #include "engine/result_stream.h"
 
+#include <bit>
+
+#include "util/fnv.h"
 #include "util/log.h"
 
 namespace fcos::engine {
+
+PageSummary
+PageSummary::of(const BitVector &page, std::uint64_t bits)
+{
+    const std::vector<std::uint64_t> &words = page.words();
+    fcos_assert(BitVector::wordsFor(bits) <= words.size(),
+                "page shorter than its valid bits");
+    const std::uint64_t full = bits / 64;
+    PageSummary s;
+    // fnvWord() folds a word least significant byte first: on a
+    // little-endian host that is memory order, so the whole words go
+    // through fnvBytes() in one call.
+    if constexpr (std::endian::native == std::endian::little) {
+        s.digest = fnvBytes(kFnvOffset, words.data(),
+                            full * sizeof(std::uint64_t));
+    } else {
+        s.digest = kFnvOffset;
+        for (std::uint64_t w = 0; w < full; ++w)
+            s.digest = fnvWord(s.digest, words[w]);
+    }
+    s.ones = popcountWords(words.data(), full);
+    if (const std::uint64_t tail = bits % 64) {
+        const std::uint64_t last = words[full] & ((1ULL << tail) - 1);
+        s.digest = fnvWord(s.digest, last);
+        s.ones += static_cast<std::uint64_t>(std::popcount(last));
+    }
+    return s;
+}
 
 OrderedChunkStream::OrderedChunkStream(std::uint64_t pages, Emit emit)
     : pages_(pages), emit_(std::move(emit))
@@ -18,7 +49,8 @@ OrderedChunkStream::OrderedChunkStream(std::uint64_t pages, Emit emit)
 }
 
 void
-OrderedChunkStream::push(std::uint64_t index, BitVector page)
+OrderedChunkStream::push(std::uint64_t index, BitVector page,
+                         PageSummary summary)
 {
     fcos_assert(index < pages_, "result page %llu beyond the stream",
                 (unsigned long long)index);
@@ -26,19 +58,19 @@ OrderedChunkStream::push(std::uint64_t index, BitVector page)
                 "result page %llu delivered twice",
                 (unsigned long long)index);
     if (index != next_) {
-        pending_.emplace(index, std::move(page));
+        pending_.emplace(index, std::pair{std::move(page), summary});
         peak_ = std::max<std::uint64_t>(peak_, pending_.size());
         if (obs::metricsLive(m_epoch_))
             peak_gauge_->noteMax(static_cast<double>(peak_));
         return;
     }
     const std::uint64_t before = next_;
-    emit_(next_++, std::move(page));
+    emit_(next_++, std::move(page), summary);
     // Flush the contiguous prefix the arrival unblocked.
     for (auto it = pending_.begin();
          it != pending_.end() && it->first == next_;
          it = pending_.erase(it))
-        emit_(next_++, std::move(it->second));
+        emit_(next_++, std::move(it->second.first), it->second.second);
     if (obs::metricsLive(m_epoch_))
         chunk_counter_->add(next_ - before);
 }

@@ -15,6 +15,10 @@
  * arrival skew — for round-robin-striped vectors that is about one
  * page stripe (one page per column), not the whole result. The peak is
  * tracked so scale tests can pin the memory bound.
+ *
+ * Each page travels with its PageSummary: the digest and population
+ * count of its valid bits, which the scheduler computes on the die's
+ * worker lane, so the consumers' per-page folds are O(1).
  */
 
 #ifndef FCOS_ENGINE_RESULT_STREAM_H
@@ -29,11 +33,32 @@
 
 namespace fcos::engine {
 
+/**
+ * What a result stream folds per page: the 64-bit FNV-1a digest of the
+ * page's valid bits (fnvBytes() over its whole words from kFnvOffset,
+ * then fnvWord() of the tail word with the bits past the valid ones
+ * cleared) and their population count. The one definition: the
+ * scheduler summarizes a result latch with it, and chunks built on the
+ * host (fallback evaluation, DigestSink::digestOf) use it too.
+ */
+struct PageSummary
+{
+    std::uint64_t digest = 0;
+    std::uint64_t ones = 0;
+
+    /** Summary of the first @p bits of @p page. */
+    static PageSummary of(const BitVector &page, std::uint64_t bits);
+
+    bool operator==(const PageSummary &) const = default;
+};
+
 class OrderedChunkStream
 {
   public:
-    /** Receives page @p index's payload, indices strictly 0,1,2,... */
-    using Emit = std::function<void(std::uint64_t index, BitVector page)>;
+    /** Receives page @p index's payload and summary, indices strictly
+     *  0,1,2,... */
+    using Emit = std::function<void(std::uint64_t index, BitVector page,
+                                    PageSummary summary)>;
 
     OrderedChunkStream(std::uint64_t pages, Emit emit);
 
@@ -41,13 +66,13 @@ class OrderedChunkStream
      * Deliver page @p index (any arrival order; each index exactly
      * once). Emits the contiguous ready prefix synchronously.
      */
-    void push(std::uint64_t index, BitVector page);
+    void push(std::uint64_t index, BitVector page, PageSummary summary);
 
     /** onResult adapter for the program computing page @p index. */
-    std::function<void(BitVector)> handler(std::uint64_t index)
+    std::function<void(BitVector, PageSummary)> handler(std::uint64_t index)
     {
-        return [this, index](BitVector page) {
-            push(index, std::move(page));
+        return [this, index](BitVector page, PageSummary summary) {
+            push(index, std::move(page), summary);
         };
     }
 
@@ -62,7 +87,7 @@ class OrderedChunkStream
     std::uint64_t pages_;
     Emit emit_;
     std::uint64_t next_ = 0;           ///< lowest index not yet emitted
-    std::map<std::uint64_t, BitVector> pending_;
+    std::map<std::uint64_t, std::pair<BitVector, PageSummary>> pending_;
     std::uint64_t peak_ = 0;
 
     /** Metric handles resolved at construction (a serial context);

@@ -225,7 +225,16 @@ CommandScheduler::computeOp(std::uint32_t die, std::uint32_t col)
     PlaneState &st = states_[col];
     fcos_assert(!st.pending.empty(), "plane worker woke without work");
     Queued &q = st.pending.front();
-    q.result = q.current().run(farm_.chip(die));
+    nand::NandChip &chip = farm_.chip(die);
+    q.result = q.current().run(chip);
+    // A program's last step also summarizes the page it hands out.
+    // The plane stays running until completeStep captures the latch,
+    // so no other step can change it in between.
+    const ColumnProgram &prog = *q.program;
+    if (q.step + 1 == prog.steps.size() && prog.readOutResult &&
+        prog.onResult)
+        q.summary = PageSummary::of(chip.dataOut(prog.plane),
+                                    resultBitsOf(prog));
 }
 
 void
@@ -239,6 +248,7 @@ CommandScheduler::commitOp(std::uint32_t die, std::uint32_t col)
     const nand::OpResult result = q.result;
     const Time submitted = q.submitted;
     OpStats *const stats = q.stats;
+    const PageSummary summary = q.summary;
     // A program leaves the FIFO with its last step; the completion
     // then owns it.
     std::unique_ptr<ColumnProgram> done;
@@ -284,9 +294,11 @@ CommandScheduler::commitOp(std::uint32_t die, std::uint32_t col)
             wait_hist_ = &obs::metrics().histogram("engine.queue_wait");
         wait_hist_->record(start - submitted);
     }
-    queue_.schedule(finish, [this, die, col, dma_after, stats,
+    // This capture is 56 bytes, exactly SmallFn's inline buffer: a
+    // larger one would heap-allocate every step's completion.
+    queue_.schedule(finish, [this, die, col, dma_after, stats, summary,
                              done = std::move(done)]() mutable {
-        completeStep(die, col, dma_after, std::move(done), stats);
+        completeStep(die, col, dma_after, std::move(done), stats, summary);
     });
 }
 
@@ -294,7 +306,7 @@ void
 CommandScheduler::completeStep(std::uint32_t die, std::uint32_t col,
                                std::uint64_t dma_after,
                                std::unique_ptr<ColumnProgram> done,
-                               OpStats *stats)
+                               OpStats *stats, PageSummary summary)
 {
     // This runs before any later step on the plane starts, so a
     // readout observes the latches this step left.
@@ -316,10 +328,16 @@ CommandScheduler::completeStep(std::uint32_t die, std::uint32_t col,
         // the DMA closure; the transfer still occupies the channel and
         // books its time and energy.
         BitVector page = farm_.chip(die).dataOut(done->plane);
+#ifndef NDEBUG
+        fcos_assert(!done->onResult ||
+                        PageSummary::of(page, resultBitsOf(*done)) ==
+                            summary,
+                    "result latch changed after its summary");
+#endif
         if (stats)
             ++stats->resultPages;
         if (done->onResult)
-            done->onResult(std::move(page));
+            done->onResult(std::move(page), summary);
         submitDma(die, farm_.geometry().pageBytes,
                   std::move(done->onComplete));
     }

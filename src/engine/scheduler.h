@@ -40,7 +40,11 @@
  *  - after a program's last step, its result page (readOutResult) is
  *    captured from the cache latch and handed to onResult, then read
  *    out over the channel; onComplete fires when the program's last
- *    timeline event (readout or trailing transfer) lands;
+ *    timeline event (readout or trailing transfer) lands. The last
+ *    step's work phase also summarizes the latch (PageSummary: digest
+ *    and population count of the page's resultBits) on the die's
+ *    lane; the plane stays running until the capture, so the latch
+ *    the summary read is the page onResult receives;
  *
  *  - the external (PCIe) link and the per-channel ISP accelerator
  *    ports are additional facilities so platform drivers (OSP/ISP
@@ -60,8 +64,10 @@
  * touch only their die (chip, latches, per-plane sense counters) and
  * buffers private to their program; onResult and onComplete run in
  * commit order and may touch anything. This is what keeps 2- and
- * 4-worker runs bit-for-bit identical to a serial run. Each step
- * carries its page bits as its work estimate, so the queue hands a
+ * 4-worker runs bit-for-bit identical to a serial run. A result page's
+ * summary is die-local work too, so streamed reads hash their pages in
+ * parallel and the commit phase only folds one summary per page. Each
+ * step carries its page bits as its work estimate, so the queue hands a
  * wave to the pool only when it spans two or more dies' lanes and its
  * pages outweigh a pool round (EventQueue::kMinDispatchWork): Table-1
  * waves (16-KiB pages) dispatch, while a tiny-geometry drive's few
@@ -82,6 +88,7 @@
 #include <vector>
 
 #include "engine/chip_farm.h"
+#include "engine/result_stream.h"
 #include "obs/obs.h"
 #include "sim/event_queue.h"
 #include "sim/worker_pool.h"
@@ -135,12 +142,17 @@ struct ColumnProgram
      *  and hand it to onResult. False for compute-in-place programs
      *  (program-from-latch) where data never leaves the die. */
     bool readOutResult = true;
+    /** Valid bits of the result page (a vector's short last page
+     *  has fewer); 0 means the whole page. onResult's summary covers
+     *  exactly these bits. */
+    std::uint64_t resultBits = 0;
     /** Receives the result page at the latch-capture instant (the last
-     *  step's completion). The readout DMA is still booked after it,
-     *  but the scheduler never buffers in-flight pages, which keeps
-     *  streamed (ResultSink) reads O(chunk) when channels back up
-     *  behind fast senses. */
-    std::function<void(BitVector)> onResult;
+     *  step's completion), with its PageSummary from the last step's
+     *  work phase. The readout DMA is still booked after it, but the
+     *  scheduler never buffers in-flight pages, which keeps streamed
+     *  (ResultSink) reads O(chunk) when channels back up behind fast
+     *  senses. */
+    std::function<void(BitVector, PageSummary)> onResult;
     /** Fires once every step (and result readout or trailing
      *  transfer) completed. */
     EventQueue::Callback onComplete;
@@ -272,6 +284,9 @@ class CommandScheduler
         /** Filled by the worker phase, consumed by the commit phase
          *  (the pool barrier orders the two). */
         nand::OpResult result;
+        /** The result latch's summary, filled by the last step's
+         *  worker phase when the program hands its page to onResult. */
+        PageSummary summary;
 
         const ColumnStep &current() const { return program->steps[step]; }
     };
@@ -287,6 +302,11 @@ class CommandScheduler
         return die * planes_per_die_ + plane;
     }
 
+    /** Valid bits of @p prog's result page. */
+    std::uint64_t resultBitsOf(const ColumnProgram &prog) const
+    {
+        return prog.resultBits ? prog.resultBits : page_bits_;
+    }
     /** Issue the head step's data-in transfer if it has not started. */
     void prefetchDataIn(std::uint32_t die, std::uint32_t col);
     /** Book one transfer, in this order: @p joules under @p comp, @p dur
@@ -303,10 +323,12 @@ class CommandScheduler
     void commitOp(std::uint32_t die, std::uint32_t col);
     /** Completion of one step: its trailing transfer and, when it
      *  was its program's last (@p done non-null), the readout and
-     *  the program's callbacks. Then the plane takes its next step. */
+     *  the program's callbacks, onResult with @p summary. Then the
+     *  plane takes its next step. */
     void completeStep(std::uint32_t die, std::uint32_t col,
                       std::uint64_t dma_after,
-                      std::unique_ptr<ColumnProgram> done, OpStats *stats);
+                      std::unique_ptr<ColumnProgram> done, OpStats *stats,
+                      PageSummary summary);
 
     ChipFarm &farm_;
     EventQueue queue_;

@@ -493,9 +493,10 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                                  total_pages * page_bits});
     engine::OrderedChunkStream stream(
         std::max<std::uint64_t>(total_pages, 1),
-        [&sink, page_bits](std::uint64_t slot, BitVector page) {
+        [&sink, page_bits](std::uint64_t slot, BitVector page,
+                           core::PageSummary summary) {
             sink.consume(core::ResultChunk{slot, slot * page_bits,
-                                           page_bits, page});
+                                           page_bits, page, summary});
         });
 
     std::size_t batch_idx = 0;
@@ -518,8 +519,6 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
         fcos_assert(plan.kind == core::MwsPlan::Kind::Mws,
                     "functional batch must compile to an MWS chain: %s",
                     plan.toString().c_str());
-        fcos_assert(!plan.finalInvert,
-                    "functional batches never need a final NOT");
         // Certify the closed-form sense count (fcSensesPerRow): the
         // planner must execute the batch in exactly the commands the
         // timing-only driver charges for.

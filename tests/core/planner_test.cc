@@ -180,7 +180,6 @@ TEST_F(PlannerTest, NandOfColocatedPlainIsSingleInverseCommand)
     ASSERT_EQ(p.kind, MwsPlan::Kind::Mws);
     ASSERT_EQ(p.commands.size(), 1u);
     EXPECT_TRUE(p.commands[0].inverse);
-    EXPECT_FALSE(p.finalInvert);
 }
 
 TEST_F(PlannerTest, NorOfPlainLeavesIsSingleInverseCommand)

@@ -38,7 +38,8 @@ ResultChunk
 chunkOf(std::uint64_t index, std::uint64_t page_bits,
         std::uint64_t bits, const BitVector &page)
 {
-    return ResultChunk{index, index * page_bits, bits, page};
+    return ResultChunk{index, index * page_bits, bits, page,
+                       PageSummary::of(page, bits)};
 }
 
 TEST(ResultSinkTest, DenseCollectReassemblesWithPartialTail)
@@ -91,33 +92,43 @@ TEST(ResultSinkTest, DigestIsOrderAndContentSensitive)
 
 TEST(ResultSinkTest, DigestOfTable1PagesMatchesAByteLoop)
 {
-    // The digest is FNV-1a over bytes: each chunk's index as 8 bytes,
-    // least significant first, then the chunk's bits in 8-bit groups
-    // (bit i of a byte is result bit 8b + i) up to a whole word, with
-    // the bits past the valid ones read as 0. Checked on a full Table-1
-    // page (131072 bits) and a 131050-bit tail, bit by bit from get().
+    // A page's digest is FNV-1a from the offset basis over its bits in
+    // 8-bit groups (bit i of a byte is result bit 8b + i) up to a whole
+    // word, with the bits past the valid ones read as 0. The stream
+    // digest is FNV-1a from the offset basis over each page digest as 8
+    // bytes, least significant first, in page order. Checked on a full
+    // Table-1 page (131072 bits) and a 131050-bit tail, bit by bit from
+    // get(); the page summaries also count the valid '1' bits.
     const std::uint64_t page_bits = 131072;
     const BitVector full = patternVec(page_bits, 11);
     const BitVector tail = patternVec(page_bits, 12);
-    std::uint64_t want = kFnvOffset;
-    auto fold = [&want](std::uint64_t index, const BitVector &page,
-                        std::uint64_t bits) {
-        for (int i = 0; i < 8; ++i)
-            want = fnvStep(want, (index >> (8 * i)) & 0xFF);
+    auto page_digest = [](const BitVector &page, std::uint64_t bits) {
+        std::uint64_t h = kFnvOffset;
         const std::uint64_t bytes = (bits + 63) / 64 * 8;
         for (std::uint64_t b = 0; b < bytes; ++b) {
             std::uint64_t byte = 0;
             for (std::uint64_t i = 0; i < 8 && 8 * b + i < bits; ++i)
                 byte |= std::uint64_t{page.get(8 * b + i)} << i;
-            want = fnvStep(want, byte);
+            h = fnvStep(h, byte);
         }
+        return h;
     };
-    fold(0, full, page_bits);
-    fold(1, tail, 131050);
+    std::uint64_t want = kFnvOffset;
+    for (std::uint64_t d :
+         {page_digest(full, page_bits), page_digest(tail, 131050)}) {
+        for (int i = 0; i < 8; ++i)
+            want = fnvStep(want, (d >> (8 * i)) & 0xFF);
+    }
 
+    const ResultChunk c0 = chunkOf(0, page_bits, page_bits, full);
+    const ResultChunk c1 = chunkOf(1, page_bits, 131050, tail);
+    EXPECT_EQ(c0.summary.digest, page_digest(full, page_bits));
+    EXPECT_EQ(c1.summary.digest, page_digest(tail, 131050));
+    EXPECT_EQ(c0.summary.ones, full.popcount());
+    EXPECT_EQ(c1.summary.ones, tail.slice(0, 131050).popcount());
     DigestSink sink;
-    sink.consume(chunkOf(0, page_bits, page_bits, full));
-    sink.consume(chunkOf(1, page_bits, 131050, tail));
+    sink.consume(c0);
+    sink.consume(c1);
     EXPECT_EQ(sink.digest(), want);
 }
 

@@ -376,7 +376,11 @@ TEST(ComputeEngineTest, ProgramReadsOutResultPage)
         0, 0});
     BitVector out;
     bool complete = false;
-    prog.onResult = [&out](BitVector page) { out = std::move(page); };
+    PageSummary summary;
+    prog.onResult = [&out, &summary](BitVector page, PageSummary s) {
+        out = std::move(page);
+        summary = s;
+    };
     prog.onComplete = [&complete] { complete = true; };
 
     OpStats stats;
@@ -384,6 +388,9 @@ TEST(ComputeEngineTest, ProgramReadsOutResultPage)
     Time makespan = eng.drain();
 
     EXPECT_EQ(out, data);
+    // The last step's work phase summarized the whole page.
+    EXPECT_EQ(summary, PageSummary::of(data, data.size()));
+    EXPECT_EQ(summary.ones, data.popcount());
     EXPECT_TRUE(complete);
     EXPECT_EQ(stats.pageReads, 1u);
     EXPECT_EQ(stats.senses, 1u);

@@ -23,15 +23,24 @@ pageOf(std::uint64_t tag)
     return v;
 }
 
+/** Pushes page @p j with its summary. */
+void
+pushPage(OrderedChunkStream &s, std::uint64_t j)
+{
+    s.push(j, pageOf(j), PageSummary::of(pageOf(j), 64));
+}
+
 TEST(OrderedChunkStreamTest, InOrderArrivalsEmitImmediately)
 {
     std::vector<std::uint64_t> seen;
-    OrderedChunkStream s(4, [&](std::uint64_t j, BitVector page) {
-        EXPECT_EQ(page.words()[0], j);
-        seen.push_back(j);
-    });
+    OrderedChunkStream s(
+        4, [&](std::uint64_t j, BitVector page, PageSummary summary) {
+            EXPECT_EQ(page.words()[0], j);
+            EXPECT_EQ(summary, PageSummary::of(page, 64));
+            seen.push_back(j);
+        });
     for (std::uint64_t j = 0; j < 4; ++j)
-        s.push(j, pageOf(j));
+        pushPage(s, j);
     EXPECT_TRUE(s.complete());
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
     EXPECT_EQ(s.peakBufferedPages(), 0u);
@@ -40,18 +49,21 @@ TEST(OrderedChunkStreamTest, InOrderArrivalsEmitImmediately)
 TEST(OrderedChunkStreamTest, OutOfOrderArrivalsReorder)
 {
     std::vector<std::uint64_t> seen;
-    OrderedChunkStream s(5, [&](std::uint64_t j, BitVector page) {
-        EXPECT_EQ(page.words()[0], j);
-        seen.push_back(j);
-    });
+    OrderedChunkStream s(
+        5, [&](std::uint64_t j, BitVector page, PageSummary summary) {
+            // A buffered page keeps its own summary.
+            EXPECT_EQ(page.words()[0], j);
+            EXPECT_EQ(summary, PageSummary::of(page, 64));
+            seen.push_back(j);
+        });
     // Reverse arrival of a full window, then the unblocking page.
-    s.push(4, pageOf(4));
-    s.push(2, pageOf(2));
-    s.push(3, pageOf(3));
-    s.push(1, pageOf(1));
+    pushPage(s, 4);
+    pushPage(s, 2);
+    pushPage(s, 3);
+    pushPage(s, 1);
     EXPECT_TRUE(seen.empty());
     EXPECT_EQ(s.peakBufferedPages(), 4u);
-    s.push(0, pageOf(0));
+    pushPage(s, 0);
     EXPECT_TRUE(s.complete());
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
@@ -59,15 +71,15 @@ TEST(OrderedChunkStreamTest, OutOfOrderArrivalsReorder)
 TEST(OrderedChunkStreamTest, HandlerAdaptersBindIndices)
 {
     std::vector<std::uint64_t> seen;
-    OrderedChunkStream s(3, [&](std::uint64_t j, BitVector) {
+    OrderedChunkStream s(3, [&](std::uint64_t j, BitVector, PageSummary) {
         seen.push_back(j);
     });
     auto h2 = s.handler(2);
     auto h0 = s.handler(0);
     auto h1 = s.handler(1);
-    h2(pageOf(2));
-    h0(pageOf(0));
-    h1(pageOf(1));
+    h2(pageOf(2), PageSummary{});
+    h0(pageOf(0), PageSummary{});
+    h1(pageOf(1), PageSummary{});
     EXPECT_TRUE(s.complete());
     EXPECT_EQ(s.emitted(), 3u);
     EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
@@ -78,10 +90,11 @@ TEST(OrderedChunkStreamTest, PeakTracksWorstSkewNotTotal)
 {
     // Interleaved skew of one page: peak must stay 1 regardless of
     // stream length.
-    OrderedChunkStream s(100, [](std::uint64_t, BitVector) {});
+    OrderedChunkStream s(100,
+                         [](std::uint64_t, BitVector, PageSummary) {});
     for (std::uint64_t j = 0; j + 1 < 100; j += 2) {
-        s.push(j + 1, pageOf(j + 1));
-        s.push(j, pageOf(j));
+        pushPage(s, j + 1);
+        pushPage(s, j);
     }
     EXPECT_TRUE(s.complete());
     EXPECT_EQ(s.peakBufferedPages(), 1u);

@@ -402,6 +402,72 @@ TEST(DeterminismTest, StreamedReadWorkerCountInvariant)
     }
 }
 
+TEST(DeterminismTest, LaneSummariesMatchTheHostOnTable1Pages)
+{
+    // Table-1 pages (16 KiB) make waves heavy enough to reach the
+    // worker pool, so each result page is summarized on its die's lane.
+    // Those summaries must fold to what the host computes from the
+    // dense bits, at every worker count: a streamed AND (8 whole pages
+    // and a 1000-bit last page, not a multiple of 64) and a plain
+    // vector read of one operand.
+    const nand::Geometry geom = nand::Geometry::table1();
+    const std::uint64_t page_bits = geom.pageBits();
+    const std::size_t bits = page_bits * 8 + 1000;
+    Rng rng = Rng::seeded(828);
+    std::vector<BitVector> data;
+    for (int i = 0; i < 3; ++i)
+        data.push_back(test::randomVec(rng, bits));
+    BitVector want = data[0];
+    want &= data[1];
+    want &= data[2];
+
+    std::vector<std::uint64_t> serial;
+    for (std::uint32_t workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        obs::ScopedCapture cap(/*trace=*/false, /*metrics=*/true);
+        core::FlashCosmosDrive::Config cfg;
+        cfg.channels = 2;
+        cfg.dies = 2;
+        cfg.geometry = geom;
+        cfg.workers = workers;
+        core::FlashCosmosDrive drive(cfg);
+        core::FlashCosmosDrive::WriteOptions group;
+        group.group = 1;
+        std::vector<core::Expr> leaves;
+        for (const BitVector &v : data)
+            leaves.push_back(core::Expr::leaf(drive.fcWrite(v, group)));
+
+        std::vector<std::uint64_t> digests;
+        auto check = [&](const auto &read, const BitVector &expect) {
+            core::DenseCollectSink dense;
+            core::DigestSink digest;
+            core::PopcountSink ones;
+            core::TeeSink tee({&dense, &digest, &ones});
+            read(tee);
+            EXPECT_EQ(dense.result(), expect);
+            EXPECT_EQ(digest.digest(),
+                      core::DigestSink::digestOf(dense.result(), page_bits));
+            EXPECT_EQ(ones.ones(), dense.result().popcount());
+            EXPECT_EQ(ones.bits(), bits);
+            digests.push_back(digest.digest());
+        };
+        check([&](core::ResultSink &sink) {
+            drive.fcRead(core::Expr::And(leaves), sink);
+        }, want);
+        check([&](core::ResultSink &sink) {
+            drive.readVector(leaves[0].id(), sink);
+        }, data[0]);
+
+        if (workers == 1)
+            serial = digests;
+        else
+            EXPECT_GT(
+                cap.metricsRegistry().counter("host.pool.dispatches").value(),
+                0u);
+        EXPECT_EQ(digests, serial);
+    }
+}
+
 TEST(DeterminismTest, PinnedCorpusDecodesToDistinctCommands)
 {
     // Sanity on the on-disk corpus itself: entries are well-formed and
