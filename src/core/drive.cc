@@ -61,7 +61,15 @@ FlashCosmosDrive::FlashCosmosDrive(const Config &cfg)
 void
 FlashCosmosDrive::setErrorInjector(nand::ErrorInjector *injector)
 {
+    engine_.scheduler().fenceAll();
     engine_.farm().setErrorInjector(injector);
+}
+
+nand::NandChip &
+FlashCosmosDrive::chip(std::uint32_t die)
+{
+    engine_.scheduler().fence(die);
+    return engine_.farm().chip(die);
 }
 
 const FlashCosmosDrive::VectorInfo &
@@ -238,6 +246,8 @@ FlashCosmosDrive::submitGcPlan(const ssd::Ftl::GcPlan &plan)
             // One copyback program per live page, then the erase: all
             // on one plane, so the plane FIFO runs the copies strictly
             // before the erase regardless of admission interleaving.
+            // A copyback's cost reads its source page's mode, so it has
+            // none up front and runs at its start.
             for (const ssd::Ftl::GcMove &m : moves) {
                 submitProgram(
                     r, engine::stepProgram(
@@ -246,8 +256,7 @@ FlashCosmosDrive::submitGcPlan(const ssd::Ftl::GcPlan &plan)
                             [src = m.src.addr,
                              dst = m.dst.addr](nand::NandChip &chip) {
                                 return chip.copyback(src, dst);
-                            },
-                            0, 0}));
+                            }}));
             }
             submitProgram(
                 r, engine::stepProgram(
@@ -256,7 +265,7 @@ FlashCosmosDrive::submitGcPlan(const ssd::Ftl::GcPlan &plan)
                         [plane, block](nand::NandChip &chip) {
                             return chip.eraseBlock(plane, block);
                         },
-                        0, 0}));
+                        0, 0, shapeOf(die).eraseCost()}));
         });
 }
 
@@ -399,6 +408,7 @@ FlashCosmosDrive::submitPageWrite(RequestState &r, const ssd::PhysPage &dst,
     st.run = [addr = dst.addr, data = std::move(page)](nand::NandChip &chip) {
         return chip.programPageEsp(addr, data);
     };
+    st.cost = shapeOf(dst.die).programCost(nand::ProgramMode::SlcEsp);
     submitProgram(r, engine::stepProgram(dst.die, dst.addr.plane, std::move(st)));
 }
 
@@ -419,7 +429,8 @@ FlashCosmosDrive::openSink(RequestState &r, ResultSink &sink,
     sink.begin(StreamShape{pages, page_bits, bits});
     return [this, &sink, page_bits, bits](std::uint64_t j, BitVector page,
                                           PageSummary summary) {
-        fcos_assert(!page.empty(), "column %llu produced no result",
+        fcos_assert(!page.empty() || !sink.wantsPages(),
+                    "column %llu produced no result",
                     (unsigned long long)j);
         sink.consume(ResultChunk{j, j * page_bits, pageValidBits(j, bits),
                                  page, summary});
@@ -443,6 +454,7 @@ FlashCosmosDrive::submitFallback(
     const std::vector<VectorId> leaves = expr.leafIds();
     for (std::size_t j = 0; j < pages; ++j) {
         engine::ColumnProgram prog = columnProgram(expr, j);
+        const nand::OpResult read_cost = shapeOf(prog.die).readCost();
         prog.readOutResult = false;
         // Serial page reads, each crossing the channel to the
         // controller; inverse-mode reads of inverse-stored vectors
@@ -456,7 +468,7 @@ FlashCosmosDrive::submitFallback(
                     (*values)[id] = chip.dataOut(a.plane);
                     return res;
                 },
-                /*dmaAfterBytes=*/cfg_.geometry.pageBytes, 0});
+                /*dmaAfterBytes=*/cfg_.geometry.pageBytes, 0, read_cost});
         }
         prog.onComplete = [&r] {
             if (--r.leafReadsLeft == 0)
@@ -639,6 +651,7 @@ FlashCosmosDrive::submitStreamedRead(
             for (std::size_t j = 0; j < pages; ++j) {
                 engine::ColumnProgram prog = make_program(j);
                 prog.resultBits = pageValidBits(j, bits);
+                prog.summaryOnly = !sink.wantsPages();
                 prog.onResult = r.stream->handler(j);
                 submitProgram(r, std::move(prog));
             }
@@ -690,7 +703,8 @@ FlashCosmosDrive::submitReadVector(VectorId id, ResultSink &sink,
     return submitStreamedRead(
         "readVector", v.pages.size(), v.bits, std::move(read_keys), sink,
         stats,
-        [page_list = std::move(page_list), inv = v.inverted](std::size_t j) {
+        [this, page_list = std::move(page_list),
+         inv = v.inverted](std::size_t j) {
             const ssd::PhysPage &p = page_list[j];
             engine::ColumnProgram prog = engine::stepProgram(
                 p.die, p.addr.plane,
@@ -698,7 +712,7 @@ FlashCosmosDrive::submitReadVector(VectorId id, ResultSink &sink,
                  [a = p.addr, inv](nand::NandChip &chip) {
                      return chip.readPage(a, inv);
                  },
-                 0, 0});
+                 0, 0, shapeOf(p.die).readCost()});
             prog.readOutResult = true;
             return prog;
         },
@@ -761,7 +775,7 @@ FlashCosmosDrive::submitCompute(const Expr &expr, const WriteOptions &opts,
                     [addr = dst.addr](nand::NandChip &chip) {
                         return chip.programFromCache(addr);
                     },
-                    0, 0});
+                    0, 0, shapeOf(dst.die).programCost()});
                 submitProgram(r, std::move(prog));
             }
         });
@@ -874,6 +888,7 @@ FlashCosmosDrive::planProgram(const MwsPlan &plan, const Expr &expr,
     ctx.storedInverted = [this](VectorId id) {
         return info(id).inverted;
     };
+    ctx.chip = &shapeOf(prog.die);
 
     prog.steps = lowerPlan(plan, ctx);
     return prog;

@@ -360,10 +360,9 @@ class FlashCosmosDrive : public StorageResolver
     {
         return engine_.farm().dieCount();
     }
-    nand::NandChip &chip(std::uint32_t die)
-    {
-        return engine_.farm().chip(die);
-    }
+    /** Die @p die, once the work already posted to its lane has run
+     *  (CommandScheduler::fence). */
+    nand::NandChip &chip(std::uint32_t die);
 
     /** The multi-die engine (timeline + unified energy ledger). */
     engine::ComputeEngine &engine() { return engine_; }
@@ -387,6 +386,13 @@ class FlashCosmosDrive : public StorageResolver
     };
 
     const VectorInfo &info(VectorId id) const;
+
+    /** Die @p die for pricing steps (NandChip's *Cost functions read
+     *  only its immutable shape, so no fence is needed). */
+    const nand::NandChip &shapeOf(std::uint32_t die) const
+    {
+        return engine_.farm().chip(die);
+    }
 
     /** Wait for a submitted write-like request: the sync fc* calls. */
     VectorId settle(Submitted s)

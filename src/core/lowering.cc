@@ -9,8 +9,10 @@ namespace {
 /** A Sense step: execute @p cmd, then, for an OR merge, the legacy
  *  cache-read OR transfer (Figure 6(c)). */
 engine::ColumnStep
-sense(nand::MwsCommand cmd, bool or_merge_after = false)
+sense(const LoweringContext &ctx, nand::MwsCommand cmd,
+      bool or_merge_after = false)
 {
+    const nand::OpResult cost = ctx.chip->mwsCost(cmd);
     return {engine::StepKind::Sense,
             [cmd = std::move(cmd), or_merge_after](nand::NandChip &chip) {
                 nand::OpResult r = chip.executeMws(cmd);
@@ -18,16 +20,18 @@ sense(nand::MwsCommand cmd, bool or_merge_after = false)
                     chip.latches(cmd.plane).dumpOrMerge();
                 return r;
             },
-            0, 0};
+            0, 0, cost};
 }
 
-/** A LatchXor step on @p plane: C := S XOR C. */
+/** A LatchXor step on @p ctx's plane: C := S XOR C. */
 engine::ColumnStep
-latchXor(std::uint32_t plane)
+latchXor(const LoweringContext &ctx)
 {
     return {engine::StepKind::LatchXor,
-            [plane](nand::NandChip &chip) { return chip.executeXor(plane); },
-            0, 0};
+            [plane = ctx.plane](nand::NandChip &chip) {
+                return chip.executeXor(plane);
+            },
+            0, 0, ctx.chip->xorCost()};
 }
 
 std::vector<engine::ColumnStep>
@@ -51,9 +55,9 @@ lowerXor(const MwsPlan &plan, const LoweringContext &ctx)
         cmd.flags.dumpToCache = first_op;
         cmd.selections.push_back(
             nand::WlSelection{a.block, a.subBlock, 1ULL << a.wordline});
-        steps.push_back(sense(std::move(cmd)));
+        steps.push_back(sense(ctx, std::move(cmd)));
         if (i > 0)
-            steps.push_back(latchXor(ctx.plane));
+            steps.push_back(latchXor(ctx));
     }
     return steps;
 }
@@ -64,6 +68,7 @@ std::vector<engine::ColumnStep>
 lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
 {
     fcos_assert(ctx.addrOf != nullptr, "lowering without address binding");
+    fcos_assert(ctx.chip != nullptr, "lowering without a die to price it");
     if (plan.kind == MwsPlan::Kind::Xor) {
         fcos_assert(ctx.storedInverted != nullptr,
                     "XOR lowering needs storage polarity");
@@ -108,7 +113,7 @@ lowerPlan(const MwsPlan &plan, const LoweringContext &ctx)
             }
             cmd.selections.push_back(sel);
         }
-        steps.push_back(sense(std::move(cmd), or_merge_after));
+        steps.push_back(sense(ctx, std::move(cmd), or_merge_after));
     }
 
     return steps;

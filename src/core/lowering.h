@@ -38,6 +38,9 @@ struct LoweringContext
     std::function<nand::WordlineAddr(VectorId)> addrOf;
     /** Storage polarity (XOR plans fold it into the sensing mode). */
     std::function<bool(VectorId)> storedInverted;
+    /** The column's die, whose shape prices every step
+     *  (engine::ColumnStep::cost); only its cost functions are read. */
+    const nand::NandChip *chip = nullptr;
 };
 
 /**
@@ -45,7 +48,8 @@ struct LoweringContext
  * execution) to an ordered step list against one plane's latch pair:
  * StepKind::Sense steps (an MWS sense, followed by the legacy
  * cache-read OR transfer of Figure 6(c) for an OR merge) and
- * StepKind::LatchXor steps (on-chip C := S XOR C).
+ * StepKind::LatchXor steps (on-chip C := S XOR C), each carrying its
+ * cost.
  */
 std::vector<engine::ColumnStep> lowerPlan(const MwsPlan &plan,
                                           const LoweringContext &ctx);

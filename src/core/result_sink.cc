@@ -99,6 +99,16 @@ TeeSink::consume(const ResultChunk &chunk)
         s->consume(chunk);
 }
 
+bool
+TeeSink::wantsPages() const
+{
+    for (const ResultSink *s : sinks_) {
+        if (s->wantsPages())
+            return true;
+    }
+    return false;
+}
+
 void
 TeeSink::end()
 {

@@ -54,8 +54,9 @@ using engine::PageSummary;
 
 /** One result page in flight. @p page holds a full page; only the
  *  first @p bits are part of the logical result (the tail of the last
- *  page is padding). @p summary is PageSummary::of(page, bits), and a
- *  chunk is never built without it. The payload reference is valid
+ *  page is padding). It is empty when the stream's sink does not want
+ *  pages (ResultSink::wantsPages). @p summary is PageSummary::of(page,
+ *  bits), and a chunk is never built without it. The payload reference is valid
  *  ONLY for the duration of consume() — a sink that needs the bits
  *  later must copy them (storing a ResultChunk stores a dangling
  *  reference). */
@@ -85,6 +86,12 @@ class ResultSink
 
     /** One result page, indices strictly increasing. */
     virtual void consume(const ResultChunk &chunk) = 0;
+
+    /** Whether consume() reads chunk.page. A sink that reads only the
+     *  chunk's summary says no: the drive then hands it empty pages,
+     *  never copies the result latches out, and may run the reads
+     *  ahead of the simulated clock (engine/scheduler.h). */
+    virtual bool wantsPages() const { return true; }
 
     /** Stream complete; every page was delivered exactly once. */
     virtual void end() {}
@@ -131,6 +138,7 @@ class DigestSink final : public ResultSink
 {
   public:
     void consume(const ResultChunk &chunk) override;
+    bool wantsPages() const override { return false; }
 
     std::uint64_t digest() const { return digest_; }
 
@@ -149,6 +157,7 @@ class PopcountSink final : public ResultSink
 {
   public:
     void consume(const ResultChunk &chunk) override;
+    bool wantsPages() const override { return false; }
 
     std::uint64_t ones() const { return ones_; }
     std::uint64_t bits() const { return bits_; }
@@ -195,7 +204,8 @@ class SparseCompareSink final : public ResultSink
     std::uint64_t first_mismatch_ = ~std::uint64_t{0};
 };
 
-/** Fans one stream out to several sinks (none owned). */
+/** Fans one stream out to several sinks (none owned). It wants pages
+ *  if any of them does. */
 class TeeSink final : public ResultSink
 {
   public:
@@ -206,6 +216,7 @@ class TeeSink final : public ResultSink
     void begin(const StreamShape &shape) override;
     void consume(const ResultChunk &chunk) override;
     void end() override;
+    bool wantsPages() const override;
 
   private:
     std::vector<ResultSink *> sinks_;

@@ -23,6 +23,7 @@ ComputeEngine::broadcastPage(std::uint32_t src_die,
                     "broadcast destination beyond the farm");
     const std::uint64_t bytes = farm_.geometry().pageBytes;
     auto page = std::make_shared<BitVector>();
+    const nand::OpResult read_cost = farm_.chip(src_die).readCost();
 
     ColumnProgram read = stepProgram(
         src_die, src.plane,
@@ -34,7 +35,7 @@ ComputeEngine::broadcastPage(std::uint32_t src_die,
              *page = chip.dataOut(src.plane);
              return r;
          },
-         /*dmaAfterBytes=*/bytes, 0});
+         /*dmaAfterBytes=*/bytes, 0, read_cost});
     // One readout to the controller, then fan out: each destination
     // pays its own data-in transfer and program, but the sense
     // happened exactly once.
@@ -52,7 +53,9 @@ ComputeEngine::broadcastPage(std::uint32_t src_die,
                  [dst = t.addr, esp, image](nand::NandChip &chip) {
                      return chip.programPageEsp(dst, image, esp);
                  },
-                 0, /*dmaBeforeBytes=*/bytes});
+                 0, /*dmaBeforeBytes=*/bytes,
+                 farm_.chip(t.die).programCost(nand::ProgramMode::SlcEsp,
+                                               esp)});
             if (on_target_done)
                 write.onComplete = on_target_done;
             scheduler_.submit(std::move(write), stats);

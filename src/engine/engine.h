@@ -37,8 +37,8 @@
  * state coherent). Planes — including planes of one die — execute
  * concurrently; cross-plane interleaving follows simulated time with
  * FIFO tie-breaking, so every run is bit-reproducible. Steps touch
- * only their die; onResult/onComplete run in commit order (see
- * engine/scheduler.h).
+ * only their die; onResult/onComplete run on the coordinator in
+ * (when, seq) order (see engine/scheduler.h).
  *
  * Replication: operands that Equation-1 locality requires on a die
  * where they are not stored (e.g. a one-page vector combined against

@@ -106,7 +106,7 @@ scalingReport(const std::vector<ScalingConfig> &configs,
                     [cmd](nand::NandChip &chip) {
                         return chip.executeMws(cmd);
                     },
-                    0, 0});
+                    0, 0, eng.farm().chip(die).mwsCost(cmd)});
                 std::size_t slot =
                     static_cast<std::size_t>(col) * pages_per_column +
                     row;

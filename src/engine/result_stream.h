@@ -91,7 +91,7 @@ class OrderedChunkStream
     std::uint64_t peak_ = 0;
 
     /** Metric handles resolved at construction (a serial context);
-     *  push() runs in commit phase, so updates are serial too. */
+     *  push() runs on the coordinator, so updates are serial too. */
     std::uint64_t m_epoch_ = 0;
     obs::Counter *chunk_counter_ = nullptr;
     obs::Gauge *peak_gauge_ = nullptr;

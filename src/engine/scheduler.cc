@@ -76,14 +76,15 @@ spanName(ssd::EnergyComponent comp)
 } // namespace
 
 CommandScheduler::CommandScheduler(ChipFarm &farm)
-    : farm_(farm), planes_per_die_(farm.geometry().planesPerDie),
-      page_bits_(static_cast<std::uint32_t>(farm.geometry().pageBits())),
-      external_("external"), states_(farm.columnCount())
+    : farm_(farm),
+      workers_(WorkerPool::resolveCount(farm.config().workers)),
+      planes_per_die_(farm.geometry().planesPerDie),
+      page_bits_(farm.geometry().pageBits()), external_("external"),
+      states_(farm.columnCount())
 {
-    const std::uint32_t workers =
-        WorkerPool::resolveCount(farm.config().workers);
-    if (workers > 1)
-        pool_ = std::make_unique<WorkerPool>(workers);
+    if (workers_ > 1 &&
+        (page_bits_ >= kLaneMinPageBits || WorkerPool::forceThreads()))
+        pool_ = std::make_unique<WorkerPool>(workers_);
     planes_.reserve(farm.columnCount());
     for (std::uint32_t d = 0; d < farm.dieCount(); ++d)
         for (std::uint32_t p = 0; p < planes_per_die_; ++p)
@@ -132,6 +133,38 @@ CommandScheduler::CommandScheduler(ChipFarm &farm)
         m_epoch_ = obs::metricsEpoch();
 }
 
+CommandScheduler::~CommandScheduler()
+{
+    // Lane items point into the FIFOs destroyed below.
+    fenceAll();
+}
+
+void
+CommandScheduler::fence(std::uint32_t die)
+{
+    if (pool_)
+        pool_->fence(die);
+}
+
+void
+CommandScheduler::fenceAll()
+{
+    if (pool_)
+        pool_->fenceAll();
+}
+
+bool
+CommandScheduler::launchable(const ColumnProgram &prog)
+{
+    for (const ColumnStep &step : prog.steps) {
+        if (!step.cost)
+            return false;
+    }
+    // Nothing reads the latch of a program whose result is not read
+    // out, or read out to no one, or read only as its summary.
+    return !prog.readOutResult || !prog.onResult || prog.summaryOnly;
+}
+
 void
 CommandScheduler::submit(ColumnProgram program, OpStats *stats)
 {
@@ -142,11 +175,25 @@ CommandScheduler::submit(ColumnProgram program, OpStats *stats)
                 "program targets plane %u beyond the die", program.plane);
     const std::uint32_t die = program.die;
     const std::uint32_t col = columnOf(die, program.plane);
+    PlaneState &st = states_[col];
     Queued q;
-    q.program = std::make_unique<ColumnProgram>(std::move(program));
-    q.stats = stats;
+    q.job = std::make_unique<Job>();
+    Job &job = *q.job;
+    job.program = std::move(program);
+    job.stats = stats;
+    if (pool_ && st.unlaunched == 0 && launchable(job.program)) {
+        // The whole program runs on the lane from now on: its steps
+        // reach the die in plane order behind everything posted before.
+        job.launched = true;
+        job.ticket = pool_->post(die, [this, die, j = &job] {
+            for (std::size_t i = 0; i < j->program.steps.size(); ++i)
+                runStep(die, *j, i);
+        });
+    } else {
+        ++st.unlaunched;
+    }
     q.submitted = queue_.now();
-    states_[col].pending.push_back(std::move(q));
+    st.pending.push_back(std::move(q));
     prefetchDataIn(die, col);
     pump(die, col);
 }
@@ -206,54 +253,65 @@ CommandScheduler::pump(std::uint32_t die, std::uint32_t col)
     st.running = true;
     // Defer to the event queue even for an idle plane so that execution
     // order is decided purely by simulated time + FIFO tie-breaking,
-    // never by the C++ call stack. The step is the sharded work phase
-    // (shard = die, estimate = page bits), everything else commits
-    // serially.
-    queue_.scheduleSharded(
-        queue_.now(), die, page_bits_,
-        [this, die, col] { computeOp(die, col); },
-        [this, die, col] { commitOp(die, col); });
+    // never by the C++ call stack.
+    queue_.schedule(queue_.now(),
+                    [this, die, col] { startStep(die, col); });
 }
 
-void
-CommandScheduler::computeOp(std::uint32_t die, std::uint32_t col)
+nand::OpResult
+CommandScheduler::runStep(std::uint32_t die, Job &job, std::size_t step)
 {
-    // Worker phase: may run concurrently with other dies' computeOps.
-    // Only the die's chip and this entry's result are touched; the
-    // step stays at the queue head (advancing belongs to the commit
-    // phase, where earlier-seq commits must still observe it).
-    PlaneState &st = states_[col];
-    fcos_assert(!st.pending.empty(), "plane worker woke without work");
-    Queued &q = st.pending.front();
+    const ColumnProgram &prog = job.program;
+    const ColumnStep &s = prog.steps[step];
     nand::NandChip &chip = farm_.chip(die);
-    q.result = q.current().run(chip);
-    // A program's last step also summarizes the page it hands out.
-    // The plane stays running until completeStep captures the latch,
-    // so no other step can change it in between.
-    const ColumnProgram &prog = *q.program;
-    if (q.step + 1 == prog.steps.size() && prog.readOutResult &&
+    const nand::OpResult r = s.run(chip);
+    fcos_assert(!s.cost || r == *s.cost,
+                "step returned latency %llu / %g J, not its declared "
+                "cost %llu / %g J",
+                (unsigned long long)r.latency, r.energyJ,
+                (unsigned long long)s.cost->latency, s.cost->energyJ);
+    // A program's last step also summarizes the page it hands out,
+    // before any later work on the die can change the latch.
+    if (step + 1 == prog.steps.size() && prog.readOutResult &&
         prog.onResult)
-        q.summary = PageSummary::of(chip.dataOut(prog.plane),
-                                    resultBitsOf(prog));
+        job.summary =
+            PageSummary::of(chip.dataOut(prog.plane), resultBitsOf(prog));
+    return r;
 }
 
 void
-CommandScheduler::commitOp(std::uint32_t die, std::uint32_t col)
+CommandScheduler::startStep(std::uint32_t die, std::uint32_t col)
 {
     PlaneState &st = states_[col];
-    fcos_assert(!st.pending.empty(), "plane commit woke without work");
+    fcos_assert(!st.pending.empty(), "plane woke without work");
     Queued &q = st.pending.front();
-    const StepKind kind = q.current().kind;
-    const std::uint64_t dma_after = q.current().dmaAfterBytes;
-    const nand::OpResult result = q.result;
+    Job &job = *q.job;
+    const ColumnStep &step = q.current();
+    nand::OpResult result;
+    if (!pool_) {
+        result = runStep(die, job, q.step);
+    } else if (job.launched) {
+        result = *step.cost;
+    } else if (step.cost) {
+        result = *step.cost;
+        job.ticket = pool_->post(die, [this, die, j = &job, i = q.step] {
+            runStep(die, *j, i);
+        });
+    } else {
+        // Its cost reads die state: run it now, once the die's lane
+        // has caught up.
+        pool_->fence(die);
+        result = runStep(die, job, q.step);
+    }
+    const StepKind kind = step.kind;
+    const std::uint64_t dma_after = step.dmaAfterBytes;
     const Time submitted = q.submitted;
-    OpStats *const stats = q.stats;
-    const PageSummary summary = q.summary;
+    OpStats *const stats = job.stats;
     // A program leaves the FIFO with its last step; the completion
     // then owns it.
-    std::unique_ptr<ColumnProgram> done;
-    if (++q.step == q.program->steps.size()) {
-        done = std::move(q.program);
+    std::unique_ptr<Job> done;
+    if (++q.step == job.program.steps.size()) {
+        done = std::move(q.job);
         st.pending.pop_front();
     } else {
         q.dmaIssued = false;
@@ -265,8 +323,6 @@ CommandScheduler::commitOp(std::uint32_t die, std::uint32_t col)
     // time.
     prefetchDataIn(die, col);
 
-    // Stats are shared across dies, so the tally happens here, never
-    // inside the (possibly parallel) step.
     if (stats)
         stats->tally(kind, result);
     const ssd::EnergyComponent comp = energyComponentFor(kind);
@@ -294,52 +350,62 @@ CommandScheduler::commitOp(std::uint32_t die, std::uint32_t col)
             wait_hist_ = &obs::metrics().histogram("engine.queue_wait");
         wait_hist_->record(start - submitted);
     }
-    // This capture is 56 bytes, exactly SmallFn's inline buffer: a
-    // larger one would heap-allocate every step's completion.
-    queue_.schedule(finish, [this, die, col, dma_after, stats, summary,
+    queue_.schedule(finish, [this, die, col, dma_after,
                              done = std::move(done)]() mutable {
-        completeStep(die, col, dma_after, std::move(done), stats, summary);
+        completeStep(die, col, dma_after, std::move(done));
     });
 }
 
 void
 CommandScheduler::completeStep(std::uint32_t die, std::uint32_t col,
                                std::uint64_t dma_after,
-                               std::unique_ptr<ColumnProgram> done,
-                               OpStats *stats, PageSummary summary)
+                               std::unique_ptr<Job> done)
 {
+    if (done) {
+        // The program's callbacks may read what its work wrote.
+        if (pool_)
+            pool_->wait(die, done->ticket);
+        if (!done->launched)
+            --states_[col].unlaunched;
+    }
     // This runs before any later step on the plane starts, so a
     // readout observes the latches this step left.
-    if (!done || !done->readOutResult) {
+    if (!done || !done->program.readOutResult) {
         // With no readout phase, a trailing transfer is the program's
         // final timeline event: completion rides it, so per-request
         // accounting sees the instant the data actually lands.
         if (dma_after > 0)
             submitDma(die, dma_after,
-                      done ? std::move(done->onComplete) : Callback{});
-        else if (done && done->onComplete)
-            done->onComplete();
+                      done ? std::move(done->program.onComplete)
+                           : Callback{});
+        else if (done && done->program.onComplete)
+            done->program.onComplete();
     } else {
+        ColumnProgram &prog = done->program;
         if (dma_after > 0)
             submitDma(die, dma_after);
-        // Capture the cache latch now — at the plane's completion
-        // instant — before any later program on this plane can
-        // overwrite it. Handing the payload over now keeps it out of
-        // the DMA closure; the transfer still occupies the channel and
-        // books its time and energy.
-        BitVector page = farm_.chip(die).dataOut(done->plane);
+        if (done->stats)
+            ++done->stats->resultPages;
+        if (prog.onResult) {
+            // Capture the cache latch now — at the plane's completion
+            // instant — before any later program on this plane can
+            // overwrite it (none is launched while this one is
+            // pending). Handing the payload over now keeps it out of
+            // the DMA closure; the transfer still occupies the channel
+            // and books its time and energy.
+            BitVector page;
+            if (!prog.summaryOnly) {
+                page = farm_.chip(die).dataOut(prog.plane);
 #ifndef NDEBUG
-        fcos_assert(!done->onResult ||
-                        PageSummary::of(page, resultBitsOf(*done)) ==
-                            summary,
-                    "result latch changed after its summary");
+                fcos_assert(PageSummary::of(page, resultBitsOf(prog)) ==
+                                done->summary,
+                            "result latch changed after its summary");
 #endif
-        if (stats)
-            ++stats->resultPages;
-        if (done->onResult)
-            done->onResult(std::move(page), summary);
+            }
+            prog.onResult(std::move(page), done->summary);
+        }
         submitDma(die, farm_.geometry().pageBytes,
-                  std::move(done->onComplete));
+                  std::move(prog.onComplete));
     }
     states_[col].running = false;
     pump(die, col);
@@ -384,18 +450,16 @@ CommandScheduler::submitAccel(std::uint32_t channel, std::uint64_t bytes,
 Time
 CommandScheduler::runUntil(Time deadline)
 {
-    if (pool_)
-        return queue_.runUntil(deadline, *pool_);
-    return queue_.runUntil(deadline);
+    const Time now = queue_.runUntil(deadline);
+    fenceAll();
+    return now;
 }
 
 Time
 CommandScheduler::drain()
 {
-    if (pool_)
-        queue_.run(*pool_);
-    else
-        queue_.run();
+    queue_.run();
+    fenceAll();
     makespan_ = std::max(makespan_, queue_.now());
 
     queue_.publishMetrics();

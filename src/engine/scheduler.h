@@ -40,11 +40,11 @@
  *  - after a program's last step, its result page (readOutResult) is
  *    captured from the cache latch and handed to onResult, then read
  *    out over the channel; onComplete fires when the program's last
- *    timeline event (readout or trailing transfer) lands. The last
- *    step's work phase also summarizes the latch (PageSummary: digest
- *    and population count of the page's resultBits) on the die's
- *    lane; the plane stays running until the capture, so the latch
- *    the summary read is the page onResult receives;
+ *    timeline event (readout or trailing transfer) lands. The page's
+ *    PageSummary (digest and population count of its resultBits) is
+ *    computed by the die work right after the last step ran, and a
+ *    summaryOnly program's onResult gets the summary with an empty
+ *    page — its latch is never copied;
  *
  *  - the external (PCIe) link and the per-channel ISP accelerator
  *    ports are additional facilities so platform drivers (OSP/ISP
@@ -54,24 +54,45 @@
  *    bit-reproducible: same submissions => same interleaving, same
  *    timeline, same energy ledger.
  *
- * Parallel host execution (ssd::SsdConfig::workers > 1) shards the
- * steps across a WorkerPool: a step's run() is the *work* phase of a
- * sharded two-phase event (shard = die, so one die's steps never
- * reorder or run concurrently), while everything that touches shared
- * simulation state — facility bookings, the energy ledger, stats
- * tallies, new events — stays in the serial commit phase, executed in
- * (when, seq) order. The contract for callers is therefore: steps
- * touch only their die (chip, latches, per-plane sense counters) and
- * buffers private to their program; onResult and onComplete run in
- * commit order and may touch anything. This is what keeps 2- and
- * 4-worker runs bit-for-bit identical to a serial run. A result page's
- * summary is die-local work too, so streamed reads hash their pages in
- * parallel and the commit phase only folds one summary per page. Each
- * step carries its page bits as its work estimate, so the queue hands a
- * wave to the pool only when it spans two or more dies' lanes and its
- * pages outweigh a pool round (EventQueue::kMinDispatchWork): Table-1
- * waves (16-KiB pages) dispatch, while a tiny-geometry drive's few
- * 256-bit steps run inline on the caller.
+ * Parallel host execution (ssd::SsdConfig::workers > 1) splits every
+ * step into its timing and its data work, as gem5 splits its timing
+ * and atomic CPU models. The timing is booked from the step's shape
+ * (ColumnStep::cost) at the step's start, on the coordinator, in
+ * (when, seq) order: facility bookings, the energy ledger, stats
+ * tallies and new events never depend on the worker count. The data
+ * work — run() on the die, plus the page summary after a program's
+ * last step — goes to the die's strand of a WorkerPool, which runs
+ * one die's items in posting order and different dies concurrently,
+ * ahead of the simulated clock. Per-plane FIFO order is what fixes
+ * the bits, as in conservative parallel discrete-event simulation
+ * (Chandy and Misra): each plane's steps reach the strand in plane
+ * order, and the planes of one die share no order-dependent state
+ * (CellArray keys pages by plane, each plane has its own sense
+ * counter and latches; the die-wide sense total only counts).
+ *
+ *  - a program is *launched* at submit — its steps and summary posted
+ *    as one item — when every step has a cost, its result is summary
+ *    only or not read out, and no earlier program on its plane is
+ *    unlaunched. Nothing ever reads its latch, so later programs may
+ *    overwrite it, and no page is held;
+ *  - any other program posts each step's work at the step's start
+ *    (a step without a cost fences its die and runs there, inline),
+ *    and its latch is captured at its completion, as in a serial run:
+ *    while it is pending, later programs on its plane wait unlaunched;
+ *  - the coordinator waits only where it reads a die's result: a
+ *    program's completion waits for its work (its onResult and
+ *    onComplete may read what the work wrote), drain() and runUntil()
+ *    return with every lane idle, and any other access to a die from
+ *    outside goes through fence() first (FlashCosmosDrive::chip
+ *    does). While it waits, the coordinator runs queued items itself.
+ *
+ * The contract for callers is therefore: steps touch only their die
+ * and buffers private to their program; onResult and onComplete run
+ * in (when, seq) order on the coordinator and may touch anything.
+ * Pages narrower than kLaneMinPageBits keep all work inline at the
+ * step's start — a cross-thread handoff would cost more than the page
+ * — unless FCOS_FORCE_THREADS=1, so the threads tiers cross threads
+ * on tiny drives too.
  *
  * Energy is booked into a ssd::EnergyMeter per activity, giving one
  * ledger spanning NAND ops, channel movement, the external link, and
@@ -85,6 +106,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "engine/chip_farm.h"
@@ -115,10 +137,19 @@ ssd::EnergyComponent energyComponentFor(StepKind kind);
 /** One die-local step of a column program. */
 struct ColumnStep
 {
+    ColumnStep() = default;
+    ColumnStep(StepKind kind,
+               std::function<nand::OpResult(nand::NandChip &)> run,
+               std::uint64_t dma_after = 0, std::uint64_t dma_before = 0,
+               std::optional<nand::OpResult> cost = std::nullopt)
+        : kind(kind), run(std::move(run)), dmaAfterBytes(dma_after),
+          dmaBeforeBytes(dma_before), cost(cost)
+    {}
+
     StepKind kind = StepKind::Sense;
-    /** Die mutation; returns the op's latency and energy. Runs in the
-     *  (possibly parallel) worker phase: it must only touch its die's
-     *  state and buffers private to its program. */
+    /** Die mutation; returns the op's latency and energy. It may run
+     *  on a worker thread, ahead of the simulated clock: it must only
+     *  touch its die's state and buffers private to its program. */
     std::function<nand::OpResult(nand::NandChip &)> run;
     /** Channel bytes shipped die -> controller after this step
      *  (fallback page readout; pipelined with later steps). */
@@ -126,6 +157,13 @@ struct ColumnStep
     /** Channel bytes shipped controller -> die before this step
      *  (program data-in; the die waits for the transfer). */
     std::uint64_t dmaBeforeBytes = 0;
+    /** What run() returns, known from the step's shape alone
+     *  (nand::NandChip's *Cost functions). A step with a cost is booked
+     *  from it and its run() may execute ahead of the clock; run() must
+     *  then return exactly this (checked in every build). A step
+     *  without one (its cost reads die state, as a copyback's reads
+     *  its source page) runs at its start, behind a fence on its die. */
+    std::optional<nand::OpResult> cost;
 };
 
 /**
@@ -146,12 +184,15 @@ struct ColumnProgram
      *  has fewer); 0 means the whole page. onResult's summary covers
      *  exactly these bits. */
     std::uint64_t resultBits = 0;
+    /** onResult reads only the page's summary: it receives an empty
+     *  page, and the latch is never copied out. */
+    bool summaryOnly = false;
     /** Receives the result page at the latch-capture instant (the last
-     *  step's completion), with its PageSummary from the last step's
-     *  work phase. The readout DMA is still booked after it, but the
-     *  scheduler never buffers in-flight pages, which keeps streamed
-     *  (ResultSink) reads O(chunk) when channels back up behind fast
-     *  senses. */
+     *  step's completion), with its PageSummary, computed on the die's
+     *  lane right after the last step ran. The readout DMA is still
+     *  booked after it, but the scheduler never buffers in-flight
+     *  pages, which keeps streamed (ResultSink) reads O(chunk) when
+     *  channels back up behind fast senses. */
     std::function<void(BitVector, PageSummary)> onResult;
     /** Fires once every step (and result readout or trailing
      *  transfer) completed. */
@@ -203,17 +244,40 @@ class CommandScheduler
     ssd::EnergyMeter &energy() { return energy_; }
     const ssd::EnergyMeter &energy() const { return energy_; }
 
-    /** Host worker lanes sharding the steps (1 = serial). */
-    std::uint32_t workerCount() const
-    {
-        return pool_ ? pool_->workerCount() : 1;
-    }
+    /**
+     * Narrowest page whose die work goes to a lane. A handoff costs
+     * about 1 us (fcbench probe `sim.pool_handoff_us`, 4-vCPU x86
+     * host, Release) and a 3-wordline MWS over a Table-1 page, 2^17
+     * bits, about 28 us (`nand.mws_us.wl3`), ~0.2 ns per page bit: a
+     * 2^14-bit page, ~3 us of sensing, is where a lane starts to pay.
+     * Geometry::tiny()'s 256-bit pages stay inline.
+     */
+    static constexpr std::uint64_t kLaneMinPageBits = std::uint64_t{1}
+                                                      << 14;
+
+    /** Destruction waits for every lane item first. */
+    ~CommandScheduler();
+
+    /** Host workers configured for the farm (1 = serial). */
+    std::uint32_t workerCount() const { return workers_; }
+
+    /** True when die work runs on worker lanes (more than one worker
+     *  and pages of at least kLaneMinPageBits, or forced threads). */
+    bool lanes() const { return pool_ != nullptr; }
+
+    /** Wait until every item posted to @p die's lane has run: the
+     *  fence any caller passes before touching a die's state while
+     *  programs are in flight. No-op without lanes. */
+    void fence(std::uint32_t die);
+
+    /** fence() every die. */
+    void fenceAll();
 
     /**
      * Submit one column program. Its steps run in order on the
      * program's (die, plane) column, behind every program submitted
      * there before it. @p stats, if given, is tallied per step in the
-     * commit phase and counts the result page.
+     * coordinator and counts the result page.
      */
     void submit(ColumnProgram program, OpStats *stats = nullptr);
 
@@ -270,31 +334,46 @@ class CommandScheduler
     std::uint64_t traceEpoch() const { return trace_epoch_; }
 
   private:
+    /** A submitted program and what its die work leaves for the
+     *  coordinator. Heap-allocated: a lane item points at it while the
+     *  FIFO and then the completion closure move its handle. */
+    struct Job
+    {
+        ColumnProgram program;
+        OpStats *stats = nullptr;
+        /** Written by the die work of the program's last step. */
+        PageSummary summary;
+        /** Ticket of the program's latest lane item (0: none). */
+        std::uint64_t ticket = 0;
+        /** Its whole die work was posted at submit. */
+        bool launched = false;
+    };
+
     /** A program in its plane's FIFO, at the step it runs next. */
     struct Queued
     {
-        std::unique_ptr<ColumnProgram> program;
-        OpStats *stats = nullptr;
+        std::unique_ptr<Job> job;
         std::size_t step = 0;
         /** The step's data-in transfer was issued / has landed. */
         bool dmaIssued = false;
         bool dmaDone = false;
         /** Submission instant, for queue-wait spans/histograms. */
         Time submitted = 0;
-        /** Filled by the worker phase, consumed by the commit phase
-         *  (the pool barrier orders the two). */
-        nand::OpResult result;
-        /** The result latch's summary, filled by the last step's
-         *  worker phase when the program hands its page to onResult. */
-        PageSummary summary;
 
-        const ColumnStep &current() const { return program->steps[step]; }
+        const ColumnStep &current() const
+        {
+            return job->program.steps[step];
+        }
     };
 
     struct PlaneState
     {
         std::deque<Queued> pending;
         bool running = false;
+        /** Programs submitted here, not yet completed, whose work was
+         *  not launched. While one is, no new program is launched, so
+         *  its latch capture never races a later program's work. */
+        std::uint32_t unlaunched = 0;
     };
 
     std::uint32_t columnOf(std::uint32_t die, std::uint32_t plane) const
@@ -317,27 +396,31 @@ class CommandScheduler
                       Callback done);
     /** Start the head step of column @p col, if it is ready. */
     void pump(std::uint32_t die, std::uint32_t col);
-    /** Worker phase: run the head step (die-local). */
-    void computeOp(std::uint32_t die, std::uint32_t col);
-    /** Commit phase: book time/energy and schedule the completion. */
-    void commitOp(std::uint32_t die, std::uint32_t col);
+    /** Whether @p prog's whole die work may run from its submit. */
+    static bool launchable(const ColumnProgram &prog);
+    /** Die work of step @p step of @p job: run it on the die (checking
+     *  its declared cost) and, after the last step, summarize the
+     *  result latch. @return what run() returned. */
+    nand::OpResult runStep(std::uint32_t die, Job &job, std::size_t step);
+    /** Start the head step of column @p col: take its cost (running or
+     *  posting its die work), book time/energy, and schedule its
+     *  completion. */
+    void startStep(std::uint32_t die, std::uint32_t col);
     /** Completion of one step: its trailing transfer and, when it
-     *  was its program's last (@p done non-null), the readout and
-     *  the program's callbacks, onResult with @p summary. Then the
-     *  plane takes its next step. */
+     *  was its program's last (@p done non-null), the wait for its
+     *  work, the readout and the program's callbacks. Then the plane
+     *  takes its next step. */
     void completeStep(std::uint32_t die, std::uint32_t col,
-                      std::uint64_t dma_after,
-                      std::unique_ptr<ColumnProgram> done, OpStats *stats,
-                      PageSummary summary);
+                      std::uint64_t dma_after, std::unique_ptr<Job> done);
 
     ChipFarm &farm_;
     EventQueue queue_;
-    std::unique_ptr<WorkerPool> pool_; ///< non-null when workers > 1
+    std::uint32_t workers_;
+    /** The dies' lanes (strand = die); null when work stays inline. */
+    std::unique_ptr<WorkerPool> pool_;
     ssd::EnergyMeter energy_;
     std::uint32_t planes_per_die_;
-    /** Every step's work estimate for the event queue's dispatch
-     *  gate: one sense covers a whole page, whatever the operands. */
-    std::uint32_t page_bits_;
+    std::uint64_t page_bits_;
     std::vector<Facility> planes_;   ///< one per (die, plane) column
     std::vector<Facility> channels_;
     std::vector<Facility> accel_ports_;
@@ -349,8 +432,8 @@ class CommandScheduler
 
     /** Observability state, captured at construction (tracks resolved
      *  once; every hot-path hook is one epoch branch when disabled).
-     *  All recording below happens in serial commit contexts, so the
-     *  trace is bit-identical at any worker count. */
+     *  All recording below happens on the coordinator, so the trace is
+     *  bit-identical at any worker count. */
     std::uint64_t trace_epoch_ = 0;
     std::uint64_t m_epoch_ = 0;
     std::uint32_t drive_pid_ = 0;
@@ -362,7 +445,7 @@ class CommandScheduler
     std::vector<std::uint32_t> accel_tracks_;
     std::uint32_t external_track_ = 0;
     /** Lazily resolved per-component latency histograms + queue wait
-     *  (commit phase is serial, so registration there is safe). */
+     *  (registered on the coordinator). */
     obs::Histogram *
         op_hist_[static_cast<std::size_t>(ssd::EnergyComponent::kCount)] =
             {};

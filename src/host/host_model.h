@@ -18,6 +18,7 @@
 #define FCOS_HOST_HOST_MODEL_H
 
 #include <cstdint>
+#include <functional>
 
 #include "sim/event_queue.h"
 #include "ssd/energy.h"

@@ -34,6 +34,12 @@ OpResult
 NandChip::eraseBlock(std::uint32_t plane, std::uint32_t block)
 {
     cells_.eraseBlock(plane, block);
+    return eraseCost();
+}
+
+OpResult
+NandChip::eraseCost() const
+{
     Time t = timing_.timings().tErase;
     return {t, PowerModel::energy(PowerModel::kErasePower, t)};
 }
@@ -80,6 +86,21 @@ NandChip::storePage(const WordlineAddr &addr, PageImage image,
                     const PageMeta &meta)
 {
     cells_.program(addr, std::move(image), meta);
+    return programCost(meta);
+}
+
+OpResult
+NandChip::programCost(ProgramMode mode, const EspParams &esp) const
+{
+    PageMeta meta;
+    meta.mode = mode;
+    meta.espFactor = (mode == ProgramMode::SlcEsp) ? esp.tEspFactor : 1.0;
+    return programCost(meta);
+}
+
+OpResult
+NandChip::programCost(const PageMeta &meta) const
+{
     const Timings &t = timing_.timings();
     const Time latency = meta.mode == ProgramMode::SlcEsp
                              ? EspParams{meta.espFactor}.latency(t)
@@ -117,14 +138,37 @@ NandChip::senseCommon(std::uint32_t plane,
             l.dumpAndMerge();
     }
 
-    std::uint32_t max_wls = 0;
-    for (const auto &s : selections)
-        max_wls = std::max(max_wls, s.wordlineCount());
-    std::uint32_t strings = static_cast<std::uint32_t>(selections.size());
+    return senseCost(selections);
+}
 
+OpResult
+NandChip::senseCost(std::uint32_t max_wls, std::uint32_t strings) const
+{
     Time t = timing_.mwsLatency(max_wls, strings);
     double power = PowerModel::mwsPower(max_wls, strings);
     return {t, PowerModel::energy(power, t)};
+}
+
+OpResult
+NandChip::senseCost(const std::vector<WlSelection> &selections) const
+{
+    std::uint32_t max_wls = 0;
+    for (const auto &s : selections)
+        max_wls = std::max(max_wls, s.wordlineCount());
+    return senseCost(max_wls,
+                     static_cast<std::uint32_t>(selections.size()));
+}
+
+OpResult
+NandChip::mwsCost(const MwsCommand &cmd) const
+{
+    return senseCost(cmd.selections);
+}
+
+OpResult
+NandChip::readCost() const
+{
+    return senseCost(1, 1);
 }
 
 OpResult
@@ -154,6 +198,12 @@ NandChip::executeXor(std::uint32_t plane)
 {
     fcos_assert(plane < geom_.planesPerDie, "plane %u out of range", plane);
     latches_[plane].xorSenseIntoCache();
+    return xorCost();
+}
+
+OpResult
+NandChip::xorCost() const
+{
     // Latch-to-latch movement is orders of magnitude faster than a
     // sense; model it as 1 us of array-logic activity.
     Time t = usToTime(1.0);

@@ -39,6 +39,8 @@ struct OpResult
 {
     Time latency = 0;
     double energyJ = 0.0;
+
+    bool operator==(const OpResult &) const = default;
 };
 
 class NandChip
@@ -133,6 +135,24 @@ class NandChip
     bool eraseVerify(std::uint32_t plane, std::uint32_t block,
                      OpResult *cost = nullptr);
 
+    // Shape-only costs: the latency and energy an op returns, from its
+    // command alone, by the formula the op itself uses. They read only
+    // the die's immutable geometry and timing, so a caller may price a
+    // command while other threads run the die's data work.
+
+    /** What executeMws(@p cmd) returns. */
+    OpResult mwsCost(const MwsCommand &cmd) const;
+    /** What readPage() returns. */
+    OpResult readCost() const;
+    /** What executeXor() returns. */
+    OpResult xorCost() const;
+    /** What a program in @p mode returns (programPage, and for SlcEsp
+     *  programPageEsp / programFromCache with @p esp). */
+    OpResult programCost(ProgramMode mode = ProgramMode::SlcEsp,
+                         const EspParams &esp = EspParams{}) const;
+    /** What eraseBlock() returns. */
+    OpResult eraseCost() const;
+
     /** Data-out: the cache latch contents of @p plane. */
     const BitVector &dataOut(std::uint32_t plane) const;
 
@@ -154,6 +174,13 @@ class NandChip
      *  programLatency(mode), and the energy is program power over it. */
     OpResult storePage(const WordlineAddr &addr, PageImage image,
                        const PageMeta &meta);
+    /** The program rule's cost of a page stored under @p meta. */
+    OpResult programCost(const PageMeta &meta) const;
+    /** Cost of a sense of @p strings strings, the widest selecting
+     *  @p max_wls wordlines. */
+    OpResult senseCost(std::uint32_t max_wls, std::uint32_t strings) const;
+    /** Cost of a sense of @p selections. */
+    OpResult senseCost(const std::vector<WlSelection> &selections) const;
 
     OpResult senseCommon(std::uint32_t plane,
                          const std::vector<WlSelection> &selections,

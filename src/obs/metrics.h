@@ -10,8 +10,8 @@
  *
  * Threading contract: metric *registration* (counter()/gauge()/
  * histogram()/recordFacility()) and Gauge/Histogram updates happen
- * only in serial simulation contexts (construction, the event queue's
- * commit phase, drain). Counter::add is a relaxed atomic so worker
+ * only in serial simulation contexts (construction, event callbacks on
+ * the coordinator, drain). Counter::add is a relaxed atomic so worker
  * threads (WorkerPool lanes) may bump counters concurrently — the one
  * cross-thread update the layer permits.
  *

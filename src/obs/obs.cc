@@ -127,17 +127,17 @@ void
 exportNow()
 {
     Session &s = session();
+    std::uint64_t digest = 0;
     if (traceOn() && !s.trace_path.empty()) {
-        if (!s.tracer->writeFile(s.trace_path))
+        if (!s.tracer->writeFile(s.trace_path, &digest))
             fcos_warn("failed to write trace to %s",
                       s.trace_path.c_str());
         else
             fcos_inform("trace: %llu events on %zu tracks -> %s "
                         "(digest %016llx)",
                         (unsigned long long)s.tracer->events(),
-                        s.tracer->tracks(),
-                        s.trace_path.c_str(),
-                        (unsigned long long)s.tracer->digest());
+                        s.tracer->tracks(), s.trace_path.c_str(),
+                        (unsigned long long)digest);
     }
     if (metricsOn() && !s.metrics_path.empty()) {
         std::FILE *f = std::fopen(s.metrics_path.c_str(), "w");

@@ -58,14 +58,21 @@ appendTs(std::string &out, Time ns)
 
 } // namespace
 
-std::string
-Tracer::toJson() const
+void
+Tracer::render(const std::function<void(std::string_view)> &emit) const
 {
+    // Rendered a chunk at a time: a traced figure run holds tens of
+    // millions of events, and its JSON need never exist in one piece.
+    constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
     std::string out;
-    out.reserve(128 + events_ * 72);
+    out.reserve(kChunkBytes + 4096);
     out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
     bool first = true;
     auto sep = [&] {
+        if (out.size() >= kChunkBytes) {
+            emit(out);
+            out.clear();
+        }
         if (!first)
             out += ",\n";
         first = false;
@@ -123,24 +130,43 @@ Tracer::toJson() const
         }
     }
     out += "\n]}\n";
-    return out;
+    emit(out);
+}
+
+std::string
+Tracer::toJson() const
+{
+    std::string json;
+    json.reserve(128 + events_ * 72);
+    render([&json](std::string_view chunk) { json += chunk; });
+    return json;
 }
 
 std::uint64_t
 Tracer::digest() const
 {
-    return fnv1a(toJson());
+    std::uint64_t h = kFnvOffset;
+    render([&h](std::string_view chunk) {
+        h = fnvBytes(h, chunk.data(), chunk.size());
+    });
+    return h;
 }
 
 bool
-Tracer::writeFile(const std::string &path) const
+Tracer::writeFile(const std::string &path, std::uint64_t *digest) const
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         return false;
-    const std::string json = toJson();
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
+    bool ok = true;
+    std::uint64_t h = kFnvOffset;
+    render([&](std::string_view chunk) {
+        ok = ok && std::fwrite(chunk.data(), 1, chunk.size(), f) ==
+                       chunk.size();
+        h = fnvBytes(h, chunk.data(), chunk.size());
+    });
+    if (digest)
+        *digest = h;
     return std::fclose(f) == 0 && ok;
 }
 

@@ -30,7 +30,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/units.h"
@@ -68,10 +70,17 @@ class Tracer
     /** FNV-1a digest of toJson() — the determinism certificate. */
     std::uint64_t digest() const;
 
-    /** Write toJson() to @p path; @return success. */
-    bool writeFile(const std::string &path) const;
+    /** Write toJson() to @p path, and its digest() to @p digest if
+     *  given, rendering the JSON once, a chunk at a time.
+     *  @return success. */
+    bool writeFile(const std::string &path,
+                   std::uint64_t *digest = nullptr) const;
 
   private:
+    /** Render toJson()'s bytes in order, in chunks of about 1 MiB,
+     *  through @p emit. */
+    void render(const std::function<void(std::string_view)> &emit) const;
+
     struct Event
     {
         const char *name;

@@ -100,7 +100,7 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
              [dur, joules](nand::NandChip &) {
                  return nand::OpResult{dur, joules};
              },
-             0, 0});
+             0, 0, nand::OpResult{dur, joules}});
         prog.onComplete = std::move(done);
         sched.submit(std::move(prog));
     };
@@ -569,6 +569,7 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                 ctx.storedInverted = [&layout](core::VectorId id) {
                     return layout.isStoredInverted(id);
                 };
+                ctx.chip = &chip;
 
                 engine::ColumnProgram prog;
                 prog.die = die;
@@ -586,6 +587,7 @@ PlatformRunner::runFcStreamed(const wl::Workload &workload,
                         op.latency = t_mws;
                         return op;
                     };
+                    step.cost->latency = t_mws;
                     prog.steps.push_back(std::move(step));
                     ++sense_ops;
                 }

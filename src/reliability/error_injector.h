@@ -49,12 +49,12 @@ class VthErrorInjector : public nand::ErrorInjector
 
   private:
     const VthModel &model_;
-    /** Fixed at construction: inject() reads both in the parallel
-     *  worker phase. */
+    /** Fixed at construction: inject() reads both on the dies'
+     *  worker lanes. */
     const OperatingCondition cond_;
     const double quality_;
     std::uint64_t base_seed_;
-    /** inject() runs in the engine's parallel worker phase; the flip
+    /** inject() runs on the dies' worker lanes; the flip
      *  pattern is a pure function of (seed, page) so the only shared
      *  state is these commutative tallies — atomics keep them exact
      *  under any worker count. */

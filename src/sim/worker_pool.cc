@@ -1,5 +1,6 @@
 #include "sim/worker_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -8,6 +9,8 @@
 namespace fcos {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 std::uint32_t
 envWorkerDefault()
@@ -43,18 +46,25 @@ template <typename Pred>
 bool
 spinUntil(const Pred &ready)
 {
-    const auto deadline =
-        std::chrono::steady_clock::now() + WorkerPool::kSpinBudget;
+    const auto deadline = Clock::now() + WorkerPool::kSpinBudget;
     for (;;) {
         for (int i = 0; i < 32; ++i) {
             if (ready())
                 return true;
             cpuRelax();
         }
-        if (std::chrono::steady_clock::now() >= deadline)
+        if (Clock::now() >= deadline)
             return ready();
         std::this_thread::yield();
     }
+}
+
+std::int64_t
+nsSince(Clock::time_point t0)
+{
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               Clock::now() - t0)
+        .count();
 }
 
 } // namespace
@@ -81,15 +91,15 @@ WorkerPool::WorkerPool(std::uint32_t workers) : workers_(workers)
     std::uint32_t hw = std::thread::hardware_concurrency();
     if (hw == 0)
         hw = 1;
-    // One OS thread per lane that can actually run concurrently; the
-    // caller's thread serves stripe 0, so spawn (threads - 1).
+    // One OS thread per worker that can actually run concurrently; the
+    // coordinator is one of them, so spawn (threads - 1).
     std::uint32_t phys =
         forceThreads() ? workers_ : std::min(workers_, hw);
     // A spinner on an oversubscribed host burns the timeslice of the
     // very thread it waits for: park straight away there instead.
     spin_ = phys <= hw;
-    // Resolve the per-lane counters now, while construction is serial:
-    // worker threads may only bump them (relaxed-atomic adds).
+    // Resolve the counters now, while construction is serial: threads
+    // may only bump them (relaxed-atomic adds).
     if (obs::metricsOn()) {
         obs_epoch_ = obs::metricsEpoch();
         obs::Registry &m = obs::metrics();
@@ -98,6 +108,7 @@ WorkerPool::WorkerPool(std::uint32_t workers) : workers_(workers)
             lane_busy_.push_back(&m.counter(
                 "host.pool.lane" + std::to_string(t) + ".busy_ns"));
         wall_ = &m.counter("host.pool.wall_ns");
+        wait_ = &m.counter("host.lanes.wait_ns");
     }
     for (std::uint32_t t = 1; t < phys; ++t)
         threads_.emplace_back([this, t] { threadMain(t); });
@@ -105,97 +116,181 @@ WorkerPool::WorkerPool(std::uint32_t workers) : workers_(workers)
 
 WorkerPool::~WorkerPool()
 {
+    fenceAll();
     {
-        // Under the mutex, so a worker between its predicate check and
+        // Under the mutex, so a thread between its predicate check and
         // its wait cannot miss the notify.
         std::lock_guard<std::mutex> lk(mutex_);
         stop_ = true;
-        start_.notify_all();
+        work_.notify_all();
     }
     for (std::thread &t : threads_)
         t.join();
 }
 
-void
-WorkerPool::runLane(const LaneFn &fn, std::uint32_t lane)
+WorkerPool::Strand &
+WorkerPool::strand(std::uint32_t s)
 {
-    if (obs::metricsLive(obs_epoch_)) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn(lane);
-        lane_busy_[lane]->add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-    } else {
-        fn(lane);
+    while (strands_.size() <= s)
+        strands_.push_back(std::make_unique<Strand>());
+    return *strands_[s];
+}
+
+std::int64_t
+WorkerPool::runOne(std::uint32_t lane, Strand *prefer)
+{
+    std::unique_lock<std::mutex> lk(mutex_);
+    if (ready_.empty())
+        return -1;
+    auto it = ready_.begin();
+    if (prefer) {
+        auto p = std::find(ready_.begin(), ready_.end(), prefer);
+        if (p != ready_.end())
+            it = p;
     }
+    Strand *s = *it;
+    ready_.erase(it);
+    --ready_count_;
+    // The strand stays queued while it runs, so no other thread can
+    // start its next item before this one finished.
+    Work work = std::move(s->items.front());
+    s->items.pop_front();
+    lk.unlock();
+
+    const bool timed = obs::metricsLive(obs_epoch_);
+    const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
+    work();
+    work = nullptr;
+    const std::int64_t ns = timed ? nsSince(t0) : 0;
+
+    lk.lock();
+    s->done.fetch_add(1, std::memory_order_release);
+    if (s->items.empty()) {
+        s->queued = false;
+    } else {
+        ready_.push_back(s);
+        ++ready_count_;
+        if (sleepers_ > 0)
+            work_.notify_one();
+    }
+    if (waiter_parked_)
+        done_.notify_one();
+    lk.unlock();
+    if (timed)
+        lane_busy_[lane]->add(static_cast<std::uint64_t>(ns));
+    return ns;
 }
 
 void
-WorkerPool::threadMain(std::uint32_t stripe)
+WorkerPool::threadMain(std::uint32_t lane)
 {
-    std::uint64_t seen = 0;
-    const auto woken = [&] { return stop_ || generation_ != seen; };
+    const auto woken = [this] { return stop_ || ready_count_ > 0; };
     for (;;) {
         if (!(spin_ && spinUntil(woken))) {
             std::unique_lock<std::mutex> lk(mutex_);
-            ++parked_;
-            start_.wait(lk, woken);
-            --parked_;
+            ++sleepers_;
+            work_.wait(lk, [this] { return stop_ || !ready_.empty(); });
+            --sleepers_;
         }
-        if (stop_)
+        if (runOne(lane, nullptr) < 0 && stop_)
             return;
-        seen = generation_;
-        const LaneFn &job = *job_;
-        const std::uint32_t stride = threadCount();
-        for (std::uint32_t lane = stripe; lane < workers_; lane += stride)
-            runLane(job, lane);
-        // The last worker out wakes the caller if it gave up spinning.
-        if (--remaining_ == 0 && caller_parked_) {
-            std::lock_guard<std::mutex> lk(mutex_);
-            done_.notify_one();
+    }
+}
+
+std::uint64_t
+WorkerPool::post(std::uint32_t id, Work work)
+{
+    Strand &s = strand(id);
+    const std::uint64_t ticket = ++s.posted;
+    const bool mlive = obs::metricsLive(obs_epoch_);
+    if (threads_.empty()) {
+        const Clock::time_point t0 = mlive ? Clock::now() : Clock::time_point{};
+        work();
+        if (mlive)
+            lane_busy_[0]->add(static_cast<std::uint64_t>(nsSince(t0)));
+        s.done.store(ticket, std::memory_order_relaxed);
+        return ticket;
+    }
+    if (mlive && !open_) {
+        open_ = true;
+        open_since_ = Clock::now();
+    }
+    ++dispatched_;
+    std::lock_guard<std::mutex> lk(mutex_);
+    s.items.push_back(std::move(work));
+    if (!s.queued) {
+        s.queued = true;
+        ready_.push_back(&s);
+        ++ready_count_;
+        if (sleepers_ > 0)
+            work_.notify_one();
+    }
+    return ticket;
+}
+
+void
+WorkerPool::wait(std::uint32_t id, std::uint64_t ticket)
+{
+    if (ticket == 0)
+        return;
+    fcos_assert(id < strands_.size() && ticket <= strands_[id]->posted,
+                "wait for an item never posted");
+    Strand &s = *strands_[id];
+    const auto done = [&s, ticket] {
+        return s.done.load(std::memory_order_acquire) >= ticket;
+    };
+    if (done())
+        return;
+    const bool timed = obs::metricsLive(obs_epoch_);
+    const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
+    std::int64_t helped = 0;
+    while (!done()) {
+        // Help first: the awaited strand's next item if it is queued,
+        // else anyone's.
+        const std::int64_t ns = runOne(0, &s);
+        if (ns >= 0) {
+            helped += ns;
+            continue;
         }
+        // Nothing queued: the awaited item runs on another thread.
+        const auto woken = [&] { return done() || ready_count_ > 0; };
+        if (spin_ && spinUntil(woken))
+            continue;
+        std::unique_lock<std::mutex> lk(mutex_);
+        waiter_parked_ = true;
+        done_.wait(lk, [&] { return done() || !ready_.empty(); });
+        waiter_parked_ = false;
+    }
+    if (timed)
+        wait_->add(static_cast<std::uint64_t>(
+            std::max<std::int64_t>(0, nsSince(t0) - helped)));
+}
+
+void
+WorkerPool::fence(std::uint32_t id)
+{
+    if (id < strands_.size())
+        wait(id, strands_[id]->posted);
+}
+
+void
+WorkerPool::fenceAll()
+{
+    for (std::uint32_t id = 0; id < strands_.size(); ++id)
+        fence(id);
+    if (open_) {
+        open_ = false;
+        if (obs::metricsLive(obs_epoch_))
+            wall_->add(static_cast<std::uint64_t>(nsSince(open_since_)));
     }
 }
 
 void
 WorkerPool::run(const LaneFn &fn)
 {
-    const bool mlive = obs::metricsLive(obs_epoch_);
-    const auto w0 = mlive ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-    if (mlive)
-        ++runs_;
-    if (threads_.empty()) {
-        for (std::uint32_t lane = 0; lane < workers_; ++lane)
-            runLane(fn, lane);
-    } else {
-        job_ = &fn;
-        remaining_ = static_cast<std::uint32_t>(threads_.size());
-        ++generation_; // publishes job_ and remaining_
-        if (parked_ > 0) {
-            std::lock_guard<std::mutex> lk(mutex_);
-            start_.notify_all();
-        }
-        // The caller is stripe 0 of the round.
-        const std::uint32_t stride = threadCount();
-        for (std::uint32_t lane = 0; lane < workers_; lane += stride)
-            runLane(fn, lane);
-        const auto done = [&] { return remaining_ == 0; };
-        if (!(spin_ && spinUntil(done))) {
-            std::unique_lock<std::mutex> lk(mutex_);
-            caller_parked_ = true;
-            done_.wait(lk, done);
-            caller_parked_ = false;
-        }
-        job_ = nullptr;
-    }
-    if (mlive) {
-        wall_->add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - w0)
-                .count()));
-    }
+    for (std::uint32_t lane = 0; lane < workers_; ++lane)
+        post(lane, [&fn, lane] { fn(lane); });
+    fenceAll();
 }
 
 void
@@ -204,8 +299,8 @@ WorkerPool::publishMetrics()
     if (!obs::metricsLive(obs_epoch_))
         return;
     obs::Registry &m = obs::metrics();
-    m.counter("host.pool.dispatches").add(runs_ - pub_runs_);
-    pub_runs_ = runs_;
+    m.counter("host.pool.dispatches").add(dispatched_ - pub_dispatched_);
+    pub_dispatched_ = dispatched_;
     const std::uint64_t wall = wall_->value();
     if (wall == 0)
         return;

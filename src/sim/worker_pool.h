@@ -1,28 +1,33 @@
 /**
  * @file
- * A fixed pool of host worker threads for sharded simulation work.
+ * A fixed pool of host worker threads running FIFO strands of work.
  *
- * The pool separates *logical workers* (deterministic shard lanes —
- * the number the simulation's partition is keyed on) from *physical
- * threads* (how many OS threads actually execute them). Lane contents
- * and lane-internal order are fixed by the caller, so results are
- * bit-identical whether the lanes run on 1 thread or 16: physical
- * thread count is a pure performance knob, never a semantics knob.
+ * Work is posted to a *strand* (the engine keys one strand per die):
+ * one strand's items run one at a time, in the order they were posted,
+ * so everything they touch sees the same sequence as a serial run.
+ * Different strands run concurrently on whichever thread is free.
+ * Which thread runs an item is a pure performance choice, never a
+ * semantics one: results are bit-identical on 1 thread or 16.
  *
- * On hosts with fewer cores than workers the pool spawns only as many
- * threads as can run concurrently (extra lanes are striped over them);
- * with a single usable thread it degenerates to inline execution with
- * zero synchronization cost. FCOS_FORCE_THREADS=1 forces one OS thread
- * per worker regardless of core count — the ThreadSanitizer tier uses
- * it so cross-thread synchronization is exercised even on small CI
- * hosts.
+ * The pool separates *logical workers* (the configured count) from
+ * *physical threads* (how many OS threads can usefully run them). On
+ * hosts with fewer cores than workers it spawns only as many threads
+ * as can run concurrently; with a single usable thread it degenerates
+ * to running each item inline when it is posted, with zero
+ * synchronization cost. FCOS_FORCE_THREADS=1 forces one OS thread per
+ * worker regardless of core count — the ThreadSanitizer tier uses it
+ * so cross-thread synchronization is exercised even on small CI hosts.
  *
- * The handoff spins, then parks. Rounds are published through atomics;
- * an idle worker (and the caller awaiting a round's barrier) busy-waits
- * for up to kSpinBudget before sleeping on a condition variable, and
- * run() pays for a futex wake only when some worker actually parked.
- * Back-to-back rounds — the sharded event queue's waves, microseconds
- * apart — thus never enter the kernel. An oversubscribed pool (more
+ * The posting thread (the simulation's coordinator) is one of the
+ * physical threads: the pool spawns (threads - 1), and whenever the
+ * coordinator waits for a strand (wait(), fence(), fenceAll()) it runs
+ * queued items itself — the awaited strand's first if it is queued —
+ * until the item it waits for has run. So a coordinator that has
+ * nothing else to do adds a lane instead of idling.
+ *
+ * An idle thread spins on the ready count for up to kSpinBudget before
+ * parking on a condition variable, and post() pays for a futex wake
+ * only when some thread actually parked. An oversubscribed pool (more
  * threads than hardware_concurrency(), e.g. forced threads on a small
  * host) parks immediately instead, so it never spins against the very
  * thread it waits for.
@@ -35,12 +40,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/small_fn.h"
 
 namespace fcos {
 
@@ -50,39 +58,59 @@ class WorkerPool
     /** A job executed once per lane; lane is in [0, workerCount()). */
     using LaneFn = std::function<void(std::uint32_t lane)>;
 
+    /** One strand item. SBO callable: the engine's captures (this,
+     *  die, job pointer) never heap-allocate on the way in. */
+    using Work = SmallFn<void()>;
+
     /**
-     * How long an idle thread spins on the round state before parking.
-     * A round handed off through condition-variable wakeups alone
-     * measured 8-12 us on a 4-vCPU x86 host; a few of those covers
-     * the gap between consecutive dispatched waves of one drain while
-     * bounding the CPU an idle pool burns. Only waves worth a round
-     * dispatch (EventQueue::kMinDispatchWork): a Table-1 drain's
-     * multi-die waves, or under FCOS_FORCE_THREADS every multi-lane
-     * wave. A serving drain on a tiny drive never wakes the pool.
+     * How long an idle thread spins on the ready count before parking.
+     * A handoff through condition-variable wakeups alone measured
+     * 8-12 us on a 4-vCPU x86 host; a few of those covers the gap
+     * between the bursts of items one drain posts while bounding the
+     * CPU an idle pool burns.
      */
     static constexpr std::chrono::microseconds kSpinBudget{50};
 
-    /** @param workers  number of logical worker lanes (>= 1). */
+    /** @param workers  number of logical workers (>= 1). */
     explicit WorkerPool(std::uint32_t workers);
+    /** Runs every queued item, then stops the threads. */
     ~WorkerPool();
 
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    /** Logical worker lanes (the deterministic shard count). */
+    /** Logical workers (the configured count). */
     std::uint32_t workerCount() const { return workers_; }
 
-    /** Physical OS threads executing the lanes (informational). */
+    /** Physical OS threads running items, the coordinator included. */
     std::uint32_t threadCount() const
     {
         return static_cast<std::uint32_t>(threads_.size()) + 1;
     }
 
     /**
-     * Execute @p fn(lane) for every lane, then barrier. Lane t runs on
-     * physical thread (t % threadCount()); each thread executes its
-     * lanes in increasing order. The calling thread participates (it
-     * runs stripe 0), so a 1-thread pool is plain inline execution.
+     * Queue @p work behind every item posted to @p strand before it.
+     * Coordinator only (one posting thread). @return the item's
+     * ticket: wait(@p strand, ticket) returns once it has run. With
+     * no spawned threads the item runs here, before post() returns.
+     */
+    std::uint64_t post(std::uint32_t strand, Work work);
+
+    /** Block until @p strand's item @p ticket (and so every item
+     *  posted to it before) has run, running queued items meanwhile.
+     *  Its effects are visible to the caller on return. */
+    void wait(std::uint32_t strand, std::uint64_t ticket);
+
+    /** wait() for everything posted to @p strand so far. */
+    void fence(std::uint32_t strand);
+
+    /** fence() every strand: on return the pool is idle. */
+    void fenceAll();
+
+    /**
+     * Execute @p fn(lane) for every lane in [0, workerCount()), then
+     * barrier: lane t is one item on strand t, so lanes run
+     * concurrently and the caller runs some of them itself.
      */
     void run(const LaneFn &fn);
 
@@ -97,53 +125,68 @@ class WorkerPool
     static bool forceThreads();
 
     /**
-     * Publish per-lane busy fractions (lane wall time / pool wall
-     * time) as "host.pool.lane<i>.busy_frac" gauges and the run()
-     * count since the last publish into "host.pool.dispatches".
-     * Host-clock derived, hence the "host." prefix — excluded from
-     * deterministic renders. Serial contexts only (e.g. after a
-     * drain). No-op unless metrics were on when the pool was
-     * constructed.
+     * Publish per-thread busy fractions (busy time / pool wall time)
+     * as "host.pool.lane<i>.busy_frac" gauges (lane 0 is the
+     * coordinator's helping) and the items handed to spawned threads
+     * since the last publish into "host.pool.dispatches". The busy and
+     * wall nanoseconds accumulate live in "host.pool.lane<i>.busy_ns"
+     * and "host.pool.wall_ns" (from the first item posted to an idle
+     * pool to the fenceAll() that found it idle again), and the time
+     * the coordinator spent blocked in wait()/fence() without an item
+     * to run in "host.lanes.wait_ns". Host-clock derived, hence the
+     * "host." prefix — excluded from deterministic renders. Serial
+     * contexts only (e.g. after a drain). No-op unless metrics were on
+     * when the pool was constructed.
      */
     void publishMetrics();
 
   private:
-    void threadMain(std::uint32_t stripe);
-    /** Run @p fn(lane), timing it into the lane's busy counter when
-     *  metrics are live (one branch otherwise). */
-    void runLane(const LaneFn &fn, std::uint32_t lane);
+    struct Strand
+    {
+        std::deque<Work> items; ///< guarded by mutex_
+        /** In ready_ or being run by some thread (mutex_). */
+        bool queued = false;
+        std::atomic<std::uint64_t> done{0}; ///< items run so far
+        std::uint64_t posted = 0;           ///< coordinator only
+    };
+
+    Strand &strand(std::uint32_t s);
+    void threadMain(std::uint32_t lane);
+    /** Run one queued item as @p lane — @p prefer's if it is queued —
+     *  and @return its host nanoseconds, or -1 if none was queued. */
+    std::int64_t runOne(std::uint32_t lane, Strand *prefer);
 
     std::uint32_t workers_;
     /** Spin before parking; false when threads outnumber cores. */
     bool spin_ = false;
 
     /** Metrics epoch at construction plus per-lane busy-nanosecond
-     *  counters (Counter is relaxed-atomic: lanes bump concurrently)
-     *  and total run() wall time. Empty/0 when metrics are off. */
+     *  counters (Counter is relaxed-atomic: lanes bump concurrently),
+     *  pool wall time and coordinator wait time. Empty/null when
+     *  metrics are off. */
     std::uint64_t obs_epoch_ = 0;
     std::vector<obs::Counter *> lane_busy_;
     obs::Counter *wall_ = nullptr;
-    std::uint64_t runs_ = 0;
-    std::uint64_t pub_runs_ = 0;
+    obs::Counter *wait_ = nullptr;
+    /** The pool holds posted work since open_since_ (coordinator). */
+    bool open_ = false;
+    std::chrono::steady_clock::time_point open_since_;
+    std::uint64_t dispatched_ = 0;
+    std::uint64_t pub_dispatched_ = 0;
 
-    /** Round state. job_ is written before the generation_ bump that
-     *  publishes it and read only after observing that bump. The
-     *  atomics use the default seq_cst order: beyond release/acquire,
-     *  the park handshake needs "I parked, then re-checked" and "I
-     *  published, then checked for parkers" to be totally ordered, so
-     *  one side always sees the other and no wakeup is lost. */
-    const LaneFn *job_ = nullptr;
-    std::atomic<std::uint64_t> generation_{0};
-    std::atomic<std::uint32_t> remaining_{0};
-    std::atomic<bool> stop_{false};
-    /** Workers asleep on start_ / the caller asleep on done_. */
-    std::atomic<std::uint32_t> parked_{0};
-    std::atomic<bool> caller_parked_{false};
+    /** Strands by id, grown on first post (coordinator only; threads
+     *  reach a strand through ready_, and its address never moves). */
+    std::vector<std::unique_ptr<Strand>> strands_;
 
-    /** Held only across park/wake, so a sleeper re-checks its
-     *  predicate before any notify can slip past it. */
+    /** Strands with queued items that no thread is running. */
     std::mutex mutex_;
-    std::condition_variable start_;
+    std::deque<Strand *> ready_;
+    /** ready_.size(), readable without the lock (spinning threads). */
+    std::atomic<std::uint32_t> ready_count_{0};
+    std::atomic<bool> stop_{false};
+    std::uint32_t sleepers_ = 0;   ///< threads asleep on work_ (mutex_)
+    bool waiter_parked_ = false;   ///< coordinator asleep on done_ (mutex_)
+    std::condition_variable work_;
     std::condition_variable done_;
 
     /** Declared last: the threads use every member above. */

@@ -186,6 +186,47 @@ TEST(ResultSinkTest, TeeFansOutToEverySink)
     EXPECT_EQ(pop.ones(), v.popcount());
 }
 
+TEST(ResultSinkTest, OnlySummarySinksDeclineThePages)
+{
+    DenseCollectSink dense;
+    DigestSink digest;
+    PopcountSink pop;
+    ChunkCallbackSink callback([](const ResultChunk &) {});
+    SparseCompareSink compare(
+        [](std::uint64_t, std::uint64_t bits) { return BitVector(bits); });
+    EXPECT_TRUE(dense.wantsPages());
+    EXPECT_FALSE(digest.wantsPages());
+    EXPECT_FALSE(pop.wantsPages());
+    EXPECT_TRUE(callback.wantsPages());
+    EXPECT_TRUE(compare.wantsPages());
+    // A tee wants pages iff one of its sinks does.
+    EXPECT_FALSE(TeeSink({&digest, &pop}).wantsPages());
+    EXPECT_TRUE(TeeSink({&digest, &dense, &pop}).wantsPages());
+    EXPECT_TRUE(TeeSink({&pop, &callback}).wantsPages());
+    EXPECT_FALSE(TeeSink({}).wantsPages());
+}
+
+TEST(ResultSinkTest, SummarySinksFoldEmptyPagesLikeFullOnes)
+{
+    // What a summary-only read hands them: the summary with no page.
+    const std::uint64_t page_bits = 64;
+    BitVector v = patternVec(100, 5);
+    DigestSink digest;
+    PopcountSink pop;
+    TeeSink tee({&digest, &pop});
+    const BitVector none;
+    for (std::uint64_t j = 0; j < 2; ++j) {
+        const std::uint64_t bits = std::min<std::uint64_t>(
+            page_bits, v.size() - j * page_bits);
+        const BitVector page = v.slice(j * page_bits, bits);
+        tee.consume(ResultChunk{j, j * page_bits, bits, none,
+                                PageSummary::of(page, bits)});
+    }
+    EXPECT_EQ(digest.digest(), DigestSink::digestOf(v, page_bits));
+    EXPECT_EQ(pop.ones(), v.popcount());
+    EXPECT_EQ(pop.bits(), v.size());
+}
+
 // ---------------------------------------------------------------------
 // Dense vs streamed drive reads.
 

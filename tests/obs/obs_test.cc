@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "core/drive.h"
@@ -153,6 +154,35 @@ TEST(ObsTraceTest, JsonIsSchemaValidAndDigestStable)
     u.overlay(uwait, "wait", 100, 900);
     u.overlay(uwait, "wait", 100, 1250);
     EXPECT_EQ(u.digest(), t.digest());
+}
+
+TEST(ObsTraceTest, ChunkedExportMatchesTheWholeJson)
+{
+    // Enough events for several render chunks: the file and the digest
+    // writeFile() produces in one pass must match toJson() exactly.
+    obs::Tracer t;
+    const std::uint32_t pid = t.newProcess("channel0");
+    const std::uint32_t plane = t.newTrack(pid, "die0.plane0");
+    const std::uint32_t wait = t.newTrack(pid, "die0.plane0.wait");
+    for (Time i = 0; i < 40'000; ++i) {
+        t.span(plane, "mws", 1000 * i, 1000 * i + 700);
+        t.overlay(wait, "wait", 1000 * i, 1000 * i + 300);
+    }
+    const std::string json = t.toJson();
+    ASSERT_GT(json.size(), std::size_t{3} << 20);
+    EXPECT_EQ(t.digest(), fnv1a(json));
+
+    const std::string path = ::testing::TempDir() + "obs_chunked_trace.json";
+    std::uint64_t digest = 0;
+    ASSERT_TRUE(t.writeFile(path, &digest));
+    EXPECT_EQ(digest, fnv1a(json));
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string back(json.size() + 1, '\0');
+    back.resize(std::fread(back.data(), 1, back.size(), f));
+    std::fclose(f);
+    std::remove(path.c_str());
+    EXPECT_TRUE(back == json);
 }
 
 TEST(ObsTraceTest, TimestampsSerializeAsFractionalMicroseconds)

@@ -10,12 +10,10 @@
 #include <memory>
 #include <new>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
-#include "sim/worker_pool.h"
 #include "util/rng.h"
 
 // TU-wide allocation counter backing the SmallFn no-allocation
@@ -71,10 +69,6 @@ operator delete[](void *p, std::size_t) noexcept
 
 namespace fcos {
 namespace {
-
-/** Per-event work estimates on either side of the dispatch gate. */
-constexpr std::uint32_t kCheap = 1;
-constexpr std::uint32_t kHeavy = EventQueue::kMinDispatchWork;
 
 TEST(EventQueueTest, ExecutesInTimeOrder)
 {
@@ -142,29 +136,6 @@ TEST(EventQueueTest, RunUntilAdvancesClockToDeadline)
     q.run();
     EXPECT_EQ(q.runUntil(40), 40u);
     EXPECT_EQ(q.now(), 40u);
-}
-
-TEST(EventQueueTest, ClockRulesMatchAtAnyWorkerCount)
-{
-    // Regression: the pool path used to read kTimeMax as "no
-    // deadline" and leave now() at the last event, while the serial
-    // path advanced it to kTimeMax. Both runUntil overloads now end
-    // with the same clock rule; run() stops at the last event.
-    for (std::uint32_t workers : {1u, 4u}) {
-        SCOPED_TRACE(std::to_string(workers) + " workers");
-        WorkerPool pool(workers);
-        EventQueue q;
-        q.scheduleSharded(5, 0, kHeavy, [] {}, [] {});
-        q.scheduleSharded(5, 1, kHeavy, [] {}, [] {});
-        q.schedule(9, [] {});
-        EXPECT_EQ(q.runUntil(7, pool), 7u);
-        q.run(pool);
-        EXPECT_EQ(q.now(), 9u);
-        q.schedule(12, [] {});
-        EXPECT_EQ(q.runUntil(kTimeMax, pool), kTimeMax);
-        EXPECT_EQ(q.now(), kTimeMax);
-        EXPECT_EQ(q.pending(), 0u);
-    }
 }
 
 TEST(EventQueueTest, HeapStaysValidUnderChurn)
@@ -245,197 +216,6 @@ TEST(EventQueueTest, KeyHeapMatchesSortedReferenceUnderChurn)
     EXPECT_EQ(q.executed(), next_id);
 }
 
-TEST(EventQueueTest, ShardedEventsRunWorkThenCommitSerially)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.scheduleSharded(
-        1, 0, kCheap, [&] { order.push_back(10); },
-        [&] { order.push_back(11); });
-    q.scheduleSharded(
-        1, 1, kCheap, [&] { order.push_back(20); },
-        [&] { order.push_back(21); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{10, 11, 20, 21}));
-}
-
-// Drive the same randomized workload serially and on a pool; the
-// commit order (the only externally visible order) must match exactly.
-// Works mutate shard-local accumulators and record their observation
-// into event-private storage, which the commit publishes — the same
-// split the command scheduler uses (PendingOp::result). Every third
-// event is heavy, so sub-batches fall on both sides of the dispatch
-// gate.
-std::vector<std::uint64_t>
-shardedWorkloadTrace(std::uint32_t workers)
-{
-    EventQueue q;
-    std::vector<std::uint64_t> trace;
-    Rng rng = Rng::seeded(42);
-    std::vector<std::uint64_t> slots(8, 0);
-    auto submit = [&](Time when, std::uint32_t shard,
-                      std::uint64_t mix, auto &self) -> void {
-        auto res = std::make_shared<std::uint64_t>(0);
-        q.scheduleSharded(
-            when, shard, mix % 3 == 0 ? kHeavy : kCheap,
-            [&slots, shard, mix, res] {
-                slots[shard] = slots[shard] * 31 + mix;
-                *res = slots[shard];
-            },
-            [&q, &trace, &rng, shard, res, self] {
-                trace.push_back(*res);
-                // Commits may schedule follow-ups, including same-time
-                // ones (the wave's next sub-batch).
-                if (trace.size() % 5 == 0)
-                    self(q.now() + rng.nextBounded(2), shard, 0x9e37,
-                         self);
-            });
-    };
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t shard = rng.nextBounded(8);
-        const Time when = rng.nextBounded(4); // heavy timestamp ties
-        submit(when, shard, std::uint64_t(i), submit);
-    }
-    if (workers <= 1) {
-        q.run();
-    } else {
-        WorkerPool pool(workers);
-        q.run(pool);
-    }
-    return trace;
-}
-
-TEST(EventQueueTest, ParallelRunIsBitIdenticalToSerial)
-{
-    const std::vector<std::uint64_t> serial = shardedWorkloadTrace(1);
-    EXPECT_EQ(shardedWorkloadTrace(2), serial);
-    EXPECT_EQ(shardedWorkloadTrace(4), serial);
-    EXPECT_EQ(shardedWorkloadTrace(7), serial);
-}
-
-// One wave at t=1 of sharded events on @p shards, each estimated at
-// @p cost, run on a 4-lane pool or serially; each work records the
-// thread it ran on, each commit its event's index.
-struct WaveThreads
-{
-    std::vector<std::thread::id> workThreads;
-    std::vector<std::size_t> commits;
-    std::uint32_t poolThreads = 0;
-};
-
-WaveThreads
-runOneWave(const std::vector<std::uint32_t> &shards, std::uint32_t cost,
-           bool parallel)
-{
-    EventQueue q;
-    WaveThreads out;
-    out.workThreads.resize(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        std::thread::id *slot = &out.workThreads[i];
-        q.scheduleSharded(
-            1, shards[i], cost,
-            [slot] { *slot = std::this_thread::get_id(); },
-            [&out, i] { out.commits.push_back(i); });
-    }
-    if (parallel) {
-        WorkerPool pool(4);
-        out.poolThreads = pool.threadCount();
-        q.run(pool);
-    } else {
-        q.run();
-    }
-    return out;
-}
-
-/** Works of @p wave that ran off the calling thread. */
-std::size_t
-offThread(const WaveThreads &wave)
-{
-    std::size_t n = 0;
-    for (const std::thread::id &id : wave.workThreads)
-        n += id != std::this_thread::get_id();
-    return n;
-}
-
-TEST(EventQueueTest, OneLaneWaveRunsInlineOnTheCaller)
-{
-    // Shards 1, 5 and 9 all map to lane 1 of a 4-lane pool: the pool
-    // could only run them serially, so they never leave the caller,
-    // however heavy their estimate.
-    const std::vector<std::uint32_t> shards = {1, 5, 9, 1};
-    const WaveThreads par = runOneWave(shards, kHeavy, true);
-    EXPECT_EQ(offThread(par), 0u);
-    EXPECT_EQ(par.commits, runOneWave(shards, kHeavy, false).commits);
-}
-
-TEST(EventQueueTest, CheapMultiLaneWaveRunsInlineUnlessThreadsAreForced)
-{
-    // Two lanes, but the summed estimate stops one short of the gate:
-    // a pool round would cost more than the work, so the wave stays on
-    // the caller — unless FCOS_FORCE_THREADS=1, which dispatches every
-    // multi-lane sub-batch so the threads tiers keep crossing threads.
-    const std::vector<std::uint32_t> shards = {0, 1};
-    const WaveThreads par =
-        runOneWave(shards, kHeavy / 2 - 1, true);
-    if (WorkerPool::forceThreads()) {
-        EXPECT_GT(offThread(par), 0u);
-    } else {
-        EXPECT_EQ(offThread(par), 0u);
-    }
-    EXPECT_EQ(par.commits,
-              runOneWave(shards, kHeavy / 2 - 1, false).commits);
-}
-
-TEST(EventQueueTest, MultiLaneWaveStillRunsOnThePool)
-{
-    // Two lanes whose estimates sum exactly to the gate, then all four
-    // lanes of heavy work. With more than one pool thread (always
-    // under FCOS_FORCE_THREADS=1) the lanes not striped onto the
-    // caller run on worker threads.
-    for (const auto &[shards, cost] :
-         {std::pair{std::vector<std::uint32_t>{0, 1}, kHeavy / 2},
-          std::pair{std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7},
-                    kHeavy}}) {
-        SCOPED_TRACE(std::to_string(shards.size()) + " events");
-        const WaveThreads par = runOneWave(shards, cost, true);
-        if (WorkerPool::forceThreads()) {
-            EXPECT_EQ(par.poolThreads, 4u);
-        }
-        if (par.poolThreads > 1) {
-            EXPECT_GT(offThread(par), 0u);
-        } else {
-            EXPECT_EQ(offThread(par), 0u);
-        }
-        EXPECT_EQ(par.commits, runOneWave(shards, cost, false).commits);
-    }
-}
-
-TEST(EventQueueTest, InlineAndDispatchedWavesAreCounted)
-{
-    obs::ScopedCapture capture(/*trace=*/false, /*metrics=*/true);
-    EventQueue q;
-    WorkerPool pool(4);
-    // t=1: one lane (shards 2, 6); t=2: two lanes of heavy work
-    // (shards 0, 1); t=3: two lanes below the gate; t=4: commit-only,
-    // which is neither.
-    for (std::uint32_t shard : {2u, 6u})
-        q.scheduleSharded(1, shard, kHeavy, [] {}, [] {});
-    for (std::uint32_t shard : {0u, 1u})
-        q.scheduleSharded(2, shard, kHeavy, [] {}, [] {});
-    for (std::uint32_t shard : {0u, 1u})
-        q.scheduleSharded(3, shard, kCheap, [] {}, [] {});
-    q.schedule(4, [] {});
-    q.run(pool);
-    q.publishMetrics();
-    pool.publishMetrics();
-    obs::Registry &m = obs::metrics();
-    const std::uint64_t dispatched = pool.threadCount() <= 1     ? 0
-                                     : WorkerPool::forceThreads() ? 2
-                                                                  : 1;
-    EXPECT_EQ(m.counter("host.pool.inline_waves").value(), 3 - dispatched);
-    EXPECT_EQ(m.counter("host.pool.dispatches").value(), dispatched);
-}
-
 TEST(EventQueueTest, SteadyStateEventsDoNotTouchTheHeap)
 {
     // Satellite guarantee of the SmallFn payload switch: once the
@@ -458,10 +238,6 @@ TEST(EventQueueTest, SteadyStateEventsDoNotTouchTheHeap)
                        *tally += self->now() + std::uint64_t(die + col);
                    });
     }
-    // Sharded two-phase events ride the same payload type.
-    q.scheduleSharded(
-        300, 0, kCheap, [tally] { *tally += 1; },
-        [tally] { *tally += 2; });
     q.run();
     EXPECT_EQ(g_heap_allocs.load() - before, 0u)
         << "steady-state event churn must not allocate";
