@@ -58,6 +58,11 @@ FlashCosmosDrive::FlashCosmosDrive(const Config &cfg)
         m_epoch_ = obs::metricsEpoch();
 }
 
+FlashCosmosDrive::~FlashCosmosDrive()
+{
+    engine_.scheduler().fenceAll();
+}
+
 void
 FlashCosmosDrive::setErrorInjector(nand::ErrorInjector *injector)
 {

@@ -114,6 +114,9 @@ class FlashCosmosDrive : public StorageResolver
     /** Construct with a test-friendly tiny geometry. */
     FlashCosmosDrive();
     explicit FlashCosmosDrive(const Config &cfg);
+    /** Waits for die work still on the lanes: it may write into
+     *  request state destroyed with the drive. */
+    ~FlashCosmosDrive() override;
 
     /** Attach/detach the error model on every die. */
     void setErrorInjector(nand::ErrorInjector *injector);

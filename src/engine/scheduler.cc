@@ -165,6 +165,14 @@ CommandScheduler::launchable(const ColumnProgram &prog)
     return !prog.readOutResult || !prog.onResult || prog.summaryOnly;
 }
 
+bool
+CommandScheduler::hasDieWork(const ColumnProgram &prog, std::size_t step)
+{
+    return prog.steps[step].run ||
+           (step + 1 == prog.steps.size() && prog.readOutResult &&
+            prog.onResult);
+}
+
 void
 CommandScheduler::submit(ColumnProgram program, OpStats *stats)
 {
@@ -185,10 +193,15 @@ CommandScheduler::submit(ColumnProgram program, OpStats *stats)
         // The whole program runs on the lane from now on: its steps
         // reach the die in plane order behind everything posted before.
         job.launched = true;
-        job.ticket = pool_->post(die, [this, die, j = &job] {
-            for (std::size_t i = 0; i < j->program.steps.size(); ++i)
-                runStep(die, *j, i);
-        });
+        bool work = false;
+        for (std::size_t i = 0; i < job.program.steps.size(); ++i)
+            work = work || hasDieWork(job.program, i);
+        if (work) {
+            job.ticket = pool_->post(die, [this, die, j = &job] {
+                for (std::size_t i = 0; i < j->program.steps.size(); ++i)
+                    runStep(die, *j, i);
+            });
+        }
     } else {
         ++st.unlaunched;
     }
@@ -264,7 +277,8 @@ CommandScheduler::runStep(std::uint32_t die, Job &job, std::size_t step)
     const ColumnProgram &prog = job.program;
     const ColumnStep &s = prog.steps[step];
     nand::NandChip &chip = farm_.chip(die);
-    const nand::OpResult r = s.run(chip);
+    fcos_assert(s.run || s.cost, "a step without run() needs a cost");
+    const nand::OpResult r = s.run ? s.run(chip) : *s.cost;
     fcos_assert(!s.cost || r == *s.cost,
                 "step returned latency %llu / %g J, not its declared "
                 "cost %llu / %g J",
@@ -294,9 +308,12 @@ CommandScheduler::startStep(std::uint32_t die, std::uint32_t col)
         result = *step.cost;
     } else if (step.cost) {
         result = *step.cost;
-        job.ticket = pool_->post(die, [this, die, j = &job, i = q.step] {
-            runStep(die, *j, i);
-        });
+        if (hasDieWork(job.program, q.step)) {
+            job.ticket =
+                pool_->post(die, [this, die, j = &job, i = q.step] {
+                    runStep(die, *j, i);
+                });
+        }
     } else {
         // Its cost reads die state: run it now, once the die's lane
         // has caught up.

@@ -149,7 +149,8 @@ struct ColumnStep
     StepKind kind = StepKind::Sense;
     /** Die mutation; returns the op's latency and energy. It may run
      *  on a worker thread, ahead of the simulated clock: it must only
-     *  touch its die's state and buffers private to its program. */
+     *  touch its die's state and buffers private to its program.
+     *  Empty for a timing-only step, which must have a cost. */
     std::function<nand::OpResult(nand::NandChip &)> run;
     /** Channel bytes shipped die -> controller after this step
      *  (fallback page readout; pipelined with later steps). */
@@ -398,6 +399,9 @@ class CommandScheduler
     void pump(std::uint32_t die, std::uint32_t col);
     /** Whether @p prog's whole die work may run from its submit. */
     static bool launchable(const ColumnProgram &prog);
+    /** Whether step @p step of @p prog has die work: a run(), or the
+     *  page summary after the last step. */
+    static bool hasDieWork(const ColumnProgram &prog, std::size_t step);
     /** Die work of step @p step of @p job: run it on the die (checking
      *  its declared cost) and, after the last step, summarize the
      *  result latch. @return what run() returned. */

@@ -96,11 +96,7 @@ driveWorkload(PlatformKind kind, const wl::Workload &workload,
                         engine::CommandScheduler::Callback done) {
         engine::ColumnProgram prog = engine::stepProgram(
             p / planes_per_die, p % planes_per_die,
-            {kind,
-             [dur, joules](nand::NandChip &) {
-                 return nand::OpResult{dur, joules};
-             },
-             0, 0, nand::OpResult{dur, joules}});
+            {kind, nullptr, 0, 0, nand::OpResult{dur, joules}});
         prog.onComplete = std::move(done);
         sched.submit(std::move(prog));
     };

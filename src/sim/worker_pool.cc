@@ -110,6 +110,7 @@ WorkerPool::WorkerPool(std::uint32_t workers) : workers_(workers)
         wall_ = &m.counter("host.pool.wall_ns");
         wait_ = &m.counter("host.lanes.wait_ns");
     }
+    idle_ = phys - 1;
     for (std::uint32_t t = 1; t < phys; ++t)
         threads_.emplace_back([this, t] { threadMain(t); });
 }
@@ -136,12 +137,11 @@ WorkerPool::strand(std::uint32_t s)
     return *strands_[s];
 }
 
-std::int64_t
-WorkerPool::runOne(std::uint32_t lane, Strand *prefer)
+WorkerPool::Strand *
+WorkerPool::takeLocked(Strand *prefer, Work &work)
 {
-    std::unique_lock<std::mutex> lk(mutex_);
     if (ready_.empty())
-        return -1;
+        return nullptr;
     auto it = ready_.begin();
     if (prefer) {
         auto p = std::find(ready_.begin(), ready_.end(), prefer);
@@ -151,19 +151,16 @@ WorkerPool::runOne(std::uint32_t lane, Strand *prefer)
     Strand *s = *it;
     ready_.erase(it);
     --ready_count_;
-    // The strand stays queued while it runs, so no other thread can
-    // start its next item before this one finished.
-    Work work = std::move(s->items.front());
+    // The strand stays queued while its item runs, so no other thread
+    // can start its next item before this one finished.
+    work = std::move(s->items.front());
     s->items.pop_front();
-    lk.unlock();
+    return s;
+}
 
-    const bool timed = obs::metricsLive(obs_epoch_);
-    const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-    work();
-    work = nullptr;
-    const std::int64_t ns = timed ? nsSince(t0) : 0;
-
-    lk.lock();
+void
+WorkerPool::finishLocked(Strand *s)
+{
     s->done.fetch_add(1, std::memory_order_release);
     if (s->items.empty()) {
         s->queued = false;
@@ -175,9 +172,38 @@ WorkerPool::runOne(std::uint32_t lane, Strand *prefer)
     }
     if (waiter_parked_)
         done_.notify_one();
-    lk.unlock();
-    if (timed)
-        lane_busy_[lane]->add(static_cast<std::uint64_t>(ns));
+}
+
+std::int64_t
+WorkerPool::runTimed(std::uint32_t lane, Work &work)
+{
+    if (!obs::metricsLive(obs_epoch_)) {
+        work();
+        work = nullptr;
+        return 0;
+    }
+    const Clock::time_point t0 = Clock::now();
+    work();
+    work = nullptr;
+    const std::int64_t ns = nsSince(t0);
+    lane_busy_[lane]->add(static_cast<std::uint64_t>(ns));
+    return ns;
+}
+
+std::int64_t
+WorkerPool::help(Strand *prefer)
+{
+    Work work;
+    Strand *s = nullptr;
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        s = takeLocked(prefer, work);
+    }
+    if (!s)
+        return -1;
+    const std::int64_t ns = runTimed(0, work);
+    std::lock_guard<std::mutex> lk(mutex_);
+    finishLocked(s);
     return ns;
 }
 
@@ -185,16 +211,65 @@ void
 WorkerPool::threadMain(std::uint32_t lane)
 {
     const auto woken = [this] { return stop_ || ready_count_ > 0; };
+    Strand *ran = nullptr;
+    bool idle = true; // counted in idle_ by the constructor
     for (;;) {
+        // Finishing one item and taking the next share a lock round.
+        Work work;
+        Strand *s = nullptr;
+        {
+            std::lock_guard<std::mutex> lk(mutex_);
+            if (ran)
+                finishLocked(ran);
+            s = takeLocked(nullptr, work);
+        }
+        ran = s;
+        if (s) {
+            if (idle) {
+                idle = false;
+                --idle_;
+            }
+            runTimed(lane, work);
+            continue;
+        }
+        if (!idle) {
+            idle = true;
+            ++idle_;
+        }
+        if (stop_)
+            return;
         if (!(spin_ && spinUntil(woken))) {
             std::unique_lock<std::mutex> lk(mutex_);
             ++sleepers_;
             work_.wait(lk, [this] { return stop_ || !ready_.empty(); });
             --sleepers_;
         }
-        if (runOne(lane, nullptr) < 0 && stop_)
-            return;
     }
+}
+
+void
+WorkerPool::flush()
+{
+    if (staged_.empty())
+        return;
+    std::lock_guard<std::mutex> lk(mutex_);
+    std::uint32_t woken = 0;
+    for (Strand *s : staged_) {
+        for (Work &w : s->staged)
+            s->items.push_back(std::move(w));
+        s->staged.clear();
+        if (!s->queued) {
+            s->queued = true;
+            ready_.push_back(s);
+            ++ready_count_;
+            if (woken < sleepers_) {
+                ++woken;
+                work_.notify_one();
+            }
+        }
+    }
+    staged_.clear();
+    staged_items_ = 0;
 }
 
 std::uint64_t
@@ -202,29 +277,21 @@ WorkerPool::post(std::uint32_t id, Work work)
 {
     Strand &s = strand(id);
     const std::uint64_t ticket = ++s.posted;
-    const bool mlive = obs::metricsLive(obs_epoch_);
     if (threads_.empty()) {
-        const Clock::time_point t0 = mlive ? Clock::now() : Clock::time_point{};
-        work();
-        if (mlive)
-            lane_busy_[0]->add(static_cast<std::uint64_t>(nsSince(t0)));
+        runTimed(0, work);
         s.done.store(ticket, std::memory_order_relaxed);
         return ticket;
     }
-    if (mlive && !open_) {
+    if (!open_ && obs::metricsLive(obs_epoch_)) {
         open_ = true;
         open_since_ = Clock::now();
     }
     ++dispatched_;
-    std::lock_guard<std::mutex> lk(mutex_);
-    s.items.push_back(std::move(work));
-    if (!s.queued) {
-        s.queued = true;
-        ready_.push_back(&s);
-        ++ready_count_;
-        if (sleepers_ > 0)
-            work_.notify_one();
-    }
+    if (s.staged.empty())
+        staged_.push_back(&s);
+    s.staged.push_back(std::move(work));
+    if (++staged_items_ >= kFlushItems || idle_ > 0)
+        flush();
     return ticket;
 }
 
@@ -241,13 +308,14 @@ WorkerPool::wait(std::uint32_t id, std::uint64_t ticket)
     };
     if (done())
         return;
+    flush();
     const bool timed = obs::metricsLive(obs_epoch_);
     const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
     std::int64_t helped = 0;
     while (!done()) {
         // Help first: the awaited strand's next item if it is queued,
         // else anyone's.
-        const std::int64_t ns = runOne(0, &s);
+        const std::int64_t ns = help(&s);
         if (ns >= 0) {
             helped += ns;
             continue;

@@ -148,13 +148,36 @@ class WorkerPool
         bool queued = false;
         std::atomic<std::uint64_t> done{0}; ///< items run so far
         std::uint64_t posted = 0;           ///< coordinator only
+        /** Posted items not yet handed to the threads (coordinator). */
+        std::vector<Work> staged;
     };
+
+    /**
+     * Staged items handed to the threads in one lock round. While
+     * every thread is busy, posts are staged rather than queued one by
+     * one, so a burst (a bulk read launches a page per plane at submit)
+     * costs a lock per batch; a post finding an idle thread, and every
+     * wait(), hands all staged items over at once.
+     */
+    static constexpr std::uint32_t kFlushItems = 16;
 
     Strand &strand(std::uint32_t s);
     void threadMain(std::uint32_t lane);
-    /** Run one queued item as @p lane — @p prefer's if it is queued —
-     *  and @return its host nanoseconds, or -1 if none was queued. */
-    std::int64_t runOne(std::uint32_t lane, Strand *prefer);
+    /** Hand every staged item to the threads (coordinator). */
+    void flush();
+    /** Under mutex_: unqueue a ready strand — @p prefer if it is
+     *  ready — and move its next item into @p work. @return the
+     *  strand, or null if none is ready. */
+    Strand *takeLocked(Strand *prefer, Work &work);
+    /** Under mutex_: count the item just run on @p s, and queue @p s
+     *  again if it has more. */
+    void finishLocked(Strand *s);
+    /** Run @p work as @p lane, timed into the lane's busy counter when
+     *  metrics are live. @return its host nanoseconds (0 untimed). */
+    std::int64_t runTimed(std::uint32_t lane, Work &work);
+    /** The coordinator runs one ready item — @p prefer's if it is
+     *  ready. @return its nanoseconds, or -1 if none was ready. */
+    std::int64_t help(Strand *prefer);
 
     std::uint32_t workers_;
     /** Spin before parking; false when threads outnumber cores. */
@@ -177,12 +200,17 @@ class WorkerPool
     /** Strands by id, grown on first post (coordinator only; threads
      *  reach a strand through ready_, and its address never moves). */
     std::vector<std::unique_ptr<Strand>> strands_;
+    /** Strands with staged items, and their count (coordinator). */
+    std::vector<Strand *> staged_;
+    std::uint32_t staged_items_ = 0;
 
     /** Strands with queued items that no thread is running. */
     std::mutex mutex_;
     std::deque<Strand *> ready_;
     /** ready_.size(), readable without the lock (spinning threads). */
     std::atomic<std::uint32_t> ready_count_{0};
+    /** Spawned threads with no item to run (a hint for post()). */
+    std::atomic<std::uint32_t> idle_{0};
     std::atomic<bool> stop_{false};
     std::uint32_t sleepers_ = 0;   ///< threads asleep on work_ (mutex_)
     bool waiter_parked_ = false;   ///< coordinator asleep on done_ (mutex_)

@@ -404,8 +404,8 @@ TEST(DeterminismTest, StreamedReadWorkerCountInvariant)
 
 TEST(DeterminismTest, LaneSummariesMatchTheHostOnTable1Pages)
 {
-    // Table-1 pages (16 KiB) make waves heavy enough to reach the
-    // worker pool, so each result page is summarized on its die's lane.
+    // Table-1 pages (16 KiB) are wide enough for the worker lanes, so
+    // each result page is summarized on its die's lane.
     // Those summaries must fold to what the host computes from the
     // dense bits, at every worker count: a streamed AND (8 whole pages
     // and a 1000-bit last page, not a multiple of 64) and a plain

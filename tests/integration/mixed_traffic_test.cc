@@ -166,13 +166,12 @@ poolDispatches(Fn &&run)
     return obs::metrics().counter("host.pool.dispatches").value();
 }
 
-TEST(MixedTrafficTest, PoolDispatchesOnlyWavesThatOutweighTheHandoff)
+TEST(MixedTrafficTest, LanesTakeOnlyPagesThatOutweighTheHandoff)
 {
-    // At 4 workers, the tiny drive's waves are a few 256-bit page ops,
-    // cheaper than a pool round: all of them run on the caller.
+    // At 4 workers, the tiny drive's 256-bit page ops cost less than a
+    // cross-thread handoff: all of them run inline on the coordinator.
     const std::uint64_t tiny = poolDispatches([] { runMixedTraffic(4); });
-    // A Table-1 AND whose pages stripe over two dies puts two 16-KiB
-    // MWS ops in one wave: that wave is worth dispatching.
+    // A Table-1 AND's 16-KiB MWS ops are worth a lane.
     const std::uint64_t table1 = poolDispatches([] {
         FlashCosmosDrive::Config cfg;
         cfg.channels = 2;

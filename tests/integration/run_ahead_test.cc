@@ -164,13 +164,19 @@ planesMixLaunchedAndPostedPrograms(std::uint32_t workers)
     }
 
     // Plane 0 carries dense reads (posted at each step's start, latch
-    // captured at completion) with writes queued behind them; plane 1
-    // carries summary-only reads, launched at submit, all interleaved.
+    // captured at completion), each followed by a summary-only read of
+    // the other plane-0 vector, submitted once the dense read's sense
+    // has started, and a write; plane 1 carries summary-only reads,
+    // launched at submit. The plane-0 summary reads must wait
+    // unlaunched until the dense capture: launched, their senses would
+    // overwrite its latch first.
     std::vector<DenseCollectSink> dense(6);
-    std::vector<SummaryRead> reads(6);
+    std::vector<SummaryRead> reads(12);
     for (std::size_t k = 0; k < 6; ++k) {
         drive.submitReadVector(p0[k % 2], dense[k]);
-        drive.submitReadVector(p1[k % 2], reads[k].tee);
+        drive.advanceTo(drive.now() + usToTime(1.0));
+        drive.submitReadVector(p0[(k + 1) % 2], reads[2 * k].tee);
+        drive.submitReadVector(p1[k % 2], reads[2 * k + 1].tee);
         FlashCosmosDrive::WriteOptions wo;
         wo.homeColumn = k % 2;
         drive.submitWrite(data[k % 4], wo);
@@ -180,7 +186,10 @@ planesMixLaunchedAndPostedPrograms(std::uint32_t workers)
     const std::uint64_t page_bits = nand::Geometry::table1().pageBits();
     for (std::size_t k = 0; k < 6; ++k) {
         EXPECT_EQ(dense[k].result(), data[k % 2]) << "read " << k;
-        EXPECT_EQ(reads[k].digest.digest(),
+        EXPECT_EQ(reads[2 * k].digest.digest(),
+                  DigestSink::digestOf(data[(k + 1) % 2], page_bits))
+            << "read " << k;
+        EXPECT_EQ(reads[2 * k + 1].digest.digest(),
                   DigestSink::digestOf(data[2 + k % 2], page_bits))
             << "read " << k;
     }
