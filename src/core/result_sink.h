@@ -56,10 +56,10 @@ using engine::PageSummary;
  *  first @p bits are part of the logical result (the tail of the last
  *  page is padding). It is empty when the stream's sink does not want
  *  pages (ResultSink::wantsPages). @p summary is PageSummary::of(page,
- *  bits), and a chunk is never built without it. The payload reference is valid
- *  ONLY for the duration of consume() — a sink that needs the bits
- *  later must copy them (storing a ResultChunk stores a dangling
- *  reference). */
+ *  bits), and a chunk is never built without it. The payload
+ *  reference is valid ONLY for the duration of consume() — a sink
+ *  that needs the bits later must copy them (storing a ResultChunk
+ *  stores a dangling reference). */
 struct ResultChunk
 {
     ResultChunk(std::uint64_t index, std::uint64_t bit_offset,

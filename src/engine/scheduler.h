@@ -73,12 +73,15 @@
  *  - a program is *launched* at submit — its steps and summary posted
  *    as one item — when every step has a cost, its result is summary
  *    only or not read out, and no earlier program on its plane is
- *    unlaunched. Nothing ever reads its latch, so later programs may
- *    overwrite it, and no page is held;
+ *    unlaunched. Its summary is taken in the same item and nothing
+ *    else reads its latch, so later programs may overwrite it, and no
+ *    page is held;
  *  - any other program posts each step's work at the step's start
  *    (a step without a cost fences its die and runs there, inline),
  *    and its latch is captured at its completion, as in a serial run:
  *    while it is pending, later programs on its plane wait unlaunched;
+ *  - a timing-only step (a cost and no run()) has no die work and
+ *    posts nothing;
  *  - the coordinator waits only where it reads a die's result: a
  *    program's completion waits for its work (its onResult and
  *    onComplete may read what the work wrote), drain() and runUntil()

@@ -26,8 +26,9 @@
  * nothing else to do adds a lane instead of idling.
  *
  * An idle thread spins on the ready count for up to kSpinBudget before
- * parking on a condition variable, and post() pays for a futex wake
- * only when some thread actually parked. An oversubscribed pool (more
+ * parking on a condition variable, and handing items over pays for a
+ * futex wake only when some thread actually parked. While every thread
+ * is busy, posts are staged and handed over in batches (kFlushItems). An oversubscribed pool (more
  * threads than hardware_concurrency(), e.g. forced threads on a small
  * host) parks immediately instead, so it never spins against the very
  * thread it waits for.
@@ -127,8 +128,9 @@ class WorkerPool
     /**
      * Publish per-thread busy fractions (busy time / pool wall time)
      * as "host.pool.lane<i>.busy_frac" gauges (lane 0 is the
-     * coordinator's helping) and the items handed to spawned threads
-     * since the last publish into "host.pool.dispatches". The busy and
+     * coordinator's helping) and the items posted to a pool with
+     * spawned threads since the last publish into
+     * "host.pool.dispatches". The busy and
      * wall nanoseconds accumulate live in "host.pool.lane<i>.busy_ns"
      * and "host.pool.wall_ns" (from the first item posted to an idle
      * pool to the fenceAll() that found it idle again), and the time
