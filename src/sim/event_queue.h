@@ -25,6 +25,7 @@
 #ifndef FCOS_SIM_EVENT_QUEUE_H
 #define FCOS_SIM_EVENT_QUEUE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
