@@ -28,10 +28,10 @@
  * An idle thread spins on the ready count for up to kSpinBudget before
  * parking on a condition variable, and handing items over pays for a
  * futex wake only when some thread actually parked. While every thread
- * is busy, posts are staged and handed over in batches (kFlushItems). An oversubscribed pool (more
- * threads than hardware_concurrency(), e.g. forced threads on a small
- * host) parks immediately instead, so it never spins against the very
- * thread it waits for.
+ * is busy, posts are staged and handed over in batches (kFlushItems).
+ * An oversubscribed pool (more threads than hardware_concurrency(),
+ * e.g. forced threads on a small host) parks immediately instead, so
+ * it never spins against the very thread it waits for.
  */
 
 #ifndef FCOS_SIM_WORKER_POOL_H
@@ -130,8 +130,8 @@ class WorkerPool
      * as "host.pool.lane<i>.busy_frac" gauges (lane 0 is the
      * coordinator's helping) and the items posted to a pool with
      * spawned threads since the last publish into
-     * "host.pool.dispatches". The busy and
-     * wall nanoseconds accumulate live in "host.pool.lane<i>.busy_ns"
+     * "host.pool.dispatches". The busy and wall nanoseconds
+     * accumulate live in "host.pool.lane<i>.busy_ns"
      * and "host.pool.wall_ns" (from the first item posted to an idle
      * pool to the fenceAll() that found it idle again), and the time
      * the coordinator spent blocked in wait()/fence() without an item
@@ -178,7 +178,8 @@ class WorkerPool
      *  metrics are live. @return its host nanoseconds (0 untimed). */
     std::int64_t runTimed(std::uint32_t lane, Work &work);
     /** The coordinator runs one ready item — @p prefer's if it is
-     *  ready. @return its nanoseconds, or -1 if none was ready. */
+     *  ready. @return its nanoseconds (0 untimed), or -1 if none was
+     *  ready. */
     std::int64_t help(Strand *prefer);
 
     std::uint32_t workers_;
