@@ -2,14 +2,17 @@
  * @file
  * Google-benchmark microbenchmarks of the kernels fcbench's layer
  * probes do not time on their own: event-queue throughput, the seeded
- * page-generation, popcount and result-digest kernels at each ISA
- * level, an MWS over the serving drive's tiny pages, and BCH coding.
+ * page-generation and popcount kernels at each ISA level, the result
+ * digest of a full and of a tiny page, an MWS over the serving drive's
+ * tiny pages, and BCH coding.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "core/result_sink.h"
+#include "engine/result_stream.h"
 #include "nand/chip.h"
 #include "reliability/bch.h"
 #include "sim/event_queue.h"
@@ -112,25 +115,40 @@ BM_PopcountAtLevel(benchmark::State &state)
 BENCHMARK(BM_PopcountAtLevel)->Arg(0)->Arg(1)->Arg(2);
 
 void
-BM_DigestAtLevel(benchmark::State &state)
+BM_DigestPage(benchmark::State &state)
 {
-    // fnvBytes over one page of words, as PageSummary::of hashes a full
+    // The digest of one 16-KiB page, as PageSummary::of hashes a full
     // result page on its die's lane.
-    IsaLevel level;
-    if (!pinIsaLevel(state, level))
-        return;
     std::vector<std::uint64_t> page(2048);
     Rng rng(5);
     rng.fillU64(page.data(), page.size());
-    std::uint64_t h = kFnvOffset;
     for (auto _ : state) {
         benchmark::ClobberMemory();
-        h = fnvBytes(h, page.data(), page.size() * 8, level);
+        std::uint64_t h = fnvDigestBits(page.data(), 64 * page.size());
         benchmark::DoNotOptimize(h);
     }
     state.SetItemsProcessed(state.iterations()); // pages
 }
-BENCHMARK(BM_DigestAtLevel)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DigestPage);
+
+void
+BM_DigestTinyPage(benchmark::State &state)
+{
+    // One 256-bit Geometry::tiny() result page summarized and folded
+    // into a DigestSink: the serving path's digest work per page.
+    BitVector page(256);
+    Rng rng(6);
+    rng.fillU64(page.words().data(), page.words().size());
+    core::DigestSink sink;
+    for (auto _ : state) {
+        benchmark::ClobberMemory();
+        sink.consume(core::ResultChunk{0, 0, 256, page,
+                                       engine::PageSummary::of(page, 256)});
+    }
+    benchmark::DoNotOptimize(sink.digest());
+    state.SetItemsProcessed(state.iterations()); // pages
+}
+BENCHMARK(BM_DigestTinyPage);
 
 void
 BM_SenseTinyPage(benchmark::State &state)

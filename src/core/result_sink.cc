@@ -25,7 +25,7 @@ DenseCollectSink::consume(const ResultChunk &chunk)
 void
 DigestSink::consume(const ResultChunk &chunk)
 {
-    digest_ = fnvWord(digest_, chunk.summary.digest);
+    digest_ = fnvStep(digest_, chunk.summary.digest);
 }
 
 std::uint64_t

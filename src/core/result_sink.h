@@ -13,7 +13,7 @@
  *  - DenseCollectSink  — assembles the dense vector (bit-for-bit the
  *    legacy return value; the BitVector-returning APIs wrap it);
  *  - ChunkCallbackSink — forwards each chunk to a user callback;
- *  - DigestSink        — FNV-1a over the ordered page digests;
+ *  - DigestSink        — fnvStep() over the ordered page digests;
  *  - PopcountSink      — running population count;
  *  - SparseCompareSink — verifies each page against a procedural
  *    expectation (e.g. a nand::PageImage fold) as it arrives, never
@@ -125,14 +125,14 @@ class ChunkCallbackSink final : public ResultSink
 };
 
 /**
- * Order-sensitive stream digest: 64-bit FNV-1a, from kFnvOffset, over
- * the sequence of page digests (PageSummary::digest, each folded as 8
- * bytes with fnvWord()) in page order. Page order fixes each page's
- * place, so no index is folded. Two streams have equal digests iff
- * they delivered identical payloads in identical chunk order (up to
- * hash collisions) — the determinism suite's cross-farm-shape
- * certificate. The page digests are computed where the pages are
- * produced, so this sink does 8 bytes of hashing per page.
+ * Order-sensitive stream digest: from kFnvOffset, one fnvStep() per
+ * page digest (PageSummary::digest) in page order, as the traffic runs
+ * fold their chain digests. Page order fixes each page's place, so no
+ * index is folded. Two streams have equal digests iff they delivered
+ * identical payloads in identical chunk order (up to hash collisions)
+ * — the determinism suite's cross-farm-shape certificate. The page
+ * digests are computed where the pages are produced, so this sink does
+ * one round per page.
  */
 class DigestSink final : public ResultSink
 {

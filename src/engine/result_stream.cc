@@ -15,23 +15,11 @@ PageSummary::of(const BitVector &page, std::uint64_t bits)
                 "page shorter than its valid bits");
     const std::uint64_t full = bits / 64;
     PageSummary s;
-    // fnvWord() folds a word least significant byte first: on a
-    // little-endian host that is memory order, so the whole words go
-    // through fnvBytes() in one call.
-    if constexpr (std::endian::native == std::endian::little) {
-        s.digest = fnvBytes(kFnvOffset, words.data(),
-                            full * sizeof(std::uint64_t));
-    } else {
-        s.digest = kFnvOffset;
-        for (std::uint64_t w = 0; w < full; ++w)
-            s.digest = fnvWord(s.digest, words[w]);
-    }
+    s.digest = fnvDigestBits(words.data(), bits);
     s.ones = popcountWords(words.data(), full);
-    if (const std::uint64_t tail = bits % 64) {
-        const std::uint64_t last = words[full] & ((1ULL << tail) - 1);
-        s.digest = fnvWord(s.digest, last);
-        s.ones += static_cast<std::uint64_t>(std::popcount(last));
-    }
+    if (const std::uint64_t tail = bits % 64)
+        s.ones += static_cast<std::uint64_t>(
+            std::popcount(words[full] & ((1ULL << tail) - 1)));
     return s;
 }
 

@@ -34,12 +34,11 @@
 namespace fcos::engine {
 
 /**
- * What a result stream folds per page: the 64-bit FNV-1a digest of the
- * page's valid bits (fnvBytes() over its whole words from kFnvOffset,
- * then fnvWord() of the tail word with the bits past the valid ones
- * cleared) and their population count. The one definition: the
- * scheduler summarizes a result latch with it, and chunks built on the
- * host (fallback evaluation, DigestSink::digestOf) use it too.
+ * What a result stream folds per page: the digest of the page's valid
+ * bits (fnvDigestBits(), with the bits past the valid ones cleared) and
+ * their population count. The one definition: the scheduler summarizes
+ * a result latch with it, and chunks built on the host (fallback
+ * evaluation, DigestSink::digestOf) use it too.
  */
 struct PageSummary
 {

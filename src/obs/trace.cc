@@ -145,11 +145,11 @@ Tracer::toJson() const
 std::uint64_t
 Tracer::digest() const
 {
-    std::uint64_t h = kFnvOffset;
+    FnvStream h;
     render([&h](std::string_view chunk) {
-        h = fnvBytes(h, chunk.data(), chunk.size());
+        h.append(chunk.data(), chunk.size());
     });
-    return h;
+    return h.digest();
 }
 
 bool
@@ -159,14 +159,14 @@ Tracer::writeFile(const std::string &path, std::uint64_t *digest) const
     if (!f)
         return false;
     bool ok = true;
-    std::uint64_t h = kFnvOffset;
+    FnvStream h;
     render([&](std::string_view chunk) {
         ok = ok && std::fwrite(chunk.data(), 1, chunk.size(), f) ==
                        chunk.size();
-        h = fnvBytes(h, chunk.data(), chunk.size());
+        h.append(chunk.data(), chunk.size());
     });
     if (digest)
-        *digest = h;
+        *digest = h.digest();
     return std::fclose(f) == 0 && ok;
 }
 

@@ -67,7 +67,7 @@ class Tracer
     /** Serialize as Chrome trace_event JSON (one event per line). */
     std::string toJson() const;
 
-    /** FNV-1a digest of toJson() — the determinism certificate. */
+    /** fnvDigestBytes() of toJson() — the determinism certificate. */
     std::uint64_t digest() const;
 
     /** Write toJson() to @p path, and its digest() to @p digest if

@@ -1,18 +1,21 @@
 /**
  * @file
- * 64-bit FNV-1a: the one hash behind the library's digests (result
- * streams, traffic runs, the trace certificate).
+ * The library's one digest (result pages and streams, traffic runs, the
+ * trace): FNV-1a rounds (fnvStep) fed 64-bit words over 32 lanes. One
+ * xor-multiply chain waits on every multiply, while 32 independent
+ * chains keep the multiplier busy from a plain loop, with no intrinsics
+ * and no ISA dispatch. Fed words, a page's digest does not depend on the
+ * host's byte order.
  *
- * fnvBytes() computes the byte-wise hash at the host's vector width
- * (util/isa.h) from an identity. With P the FNV prime and l = h mod
- * 256, one step is h' = (h ^ b) * P = (h + d) * P with
- * d = (l ^ b) - l = 2 (b & x) - b, where x = l ^ b, because b < 256.
- * Over n bytes, h_n = h_0 * P^n + sum of d_i * P^(n - i) (mod 2^64).
- * The d_i depend only on the low byte, an 8-bit automaton
- * l' = (x * 0xb3) mod 256 (0xb3 = P mod 256). As 0xb3 is odd, bit k of
- * l' is x[k] xor a function of x's lower bits, so over a run of bytes
- * each bit level is a prefix-XOR of a sequence known once the levels
- * below are done, and the sum is a dot product with powers of P.
+ * Input: a page is its n = ceil(bits / 64) words, the last masked to the
+ * valid bits, and L = bits; a byte string is n words packed
+ * little-endian, the last zero-padded, and L = its byte count.
+ *
+ * Digest: h starts at kFnvOffset. With G = n / 32, if G > 0, lane l
+ * (0 .. 31) starts at kFnvOffset and folds w[32 g + l] for every g < G,
+ * then h folds the 32 lane values in lane order. Next h folds the tail
+ * words w[32 G .. n) in order, and last h = fnvStep(h, L). A page under
+ * 32 words builds no lane state.
  */
 
 #ifndef FCOS_UTIL_FNV_H
@@ -22,46 +25,41 @@
 #include <cstdint>
 #include <string_view>
 
-#include "util/isa.h"
-
 namespace fcos {
 
 inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+inline constexpr std::size_t kFnvLanes = 32;
 
-/** One FNV-1a round: xor @p v into @p h, then multiply. Textbook FNV-1a
- *  feeds it bytes; the traffic digests feed it whole 64-bit digests. */
+/** One FNV-1a round; stream and traffic digests fold one digest each. */
 constexpr std::uint64_t
 fnvStep(std::uint64_t h, std::uint64_t v)
 {
     return (h ^ v) * kFnvPrime;
 }
 
-/** Fold the 8 bytes of @p word into @p h, least significant first. */
-constexpr std::uint64_t
-fnvWord(std::uint64_t h, std::uint64_t word)
+/** The digest of the first @p bits bits of @p words. */
+std::uint64_t fnvDigestBits(const std::uint64_t *words, std::uint64_t bits);
+
+/** The digest of a byte string appended in chunks of any size. */
+class FnvStream
 {
-    for (int i = 0; i < 8; ++i)
-        h = fnvStep(h, (word >> (8 * i)) & 0xFF);
-    return h;
-}
+  public:
+    FnvStream();
+    FnvStream &append(const void *bytes, std::size_t n);
+    std::uint64_t digest() const;
 
-/**
- * Fold @p n bytes at @p bytes into @p h in memory order: the result of
- * fnvStep() byte by byte, run at activeIsaLevel(). The library's one
- * byte-wise FNV-1a kernel.
- */
-std::uint64_t fnvBytes(std::uint64_t h, const void *bytes, std::size_t n);
+  private:
+    std::uint64_t lanes_[kFnvLanes];    ///< one chain each, from kFnvOffset
+    std::uint64_t run_[kFnvLanes] = {}; ///< the next run, zero-padded
+    std::uint64_t length_ = 0;          ///< bytes; run_ holds length_ % 256
+};
 
-/** The same kernel at @p level, which must be supported (tests). */
-std::uint64_t fnvBytes(std::uint64_t h, const void *bytes, std::size_t n,
-                       IsaLevel level);
-
-/** FNV-1a over a byte string. */
+/** The digest of @p bytes in one call. */
 inline std::uint64_t
-fnv1a(std::string_view bytes)
+fnvDigestBytes(std::string_view bytes)
 {
-    return fnvBytes(kFnvOffset, bytes.data(), bytes.size());
+    return FnvStream().append(bytes.data(), bytes.size()).digest();
 }
 
 } // namespace fcos

@@ -6,15 +6,12 @@
  * The library is compiled for the compiler's default target, which on
  * x86-64 is the baseline ISA: SSE2 and no popcnt. A few kernels carry
  * most of the host time of page-heavy runs: the MT19937-64 twist,
- * temper and threshold pack (util/rng.cc), popcountWords
- * (util/bitvector.cc) and fnvBytes, the byte-wise FNV-1a behind the
- * result digest (util/fnv.cc). Each is written once as an always-inline
- * body, the MT19937-64 ones over the lane vectors below, then
- * instantiated with __attribute__((target(...))) for each level that
- * pays (popcount stops at v3; v4 runs the v3 build). fnvBytes is the
- * exception: a baseline byte loop and an x86-64-v4 kernel in AVX-512
- * intrinsics, whose bit-plane transposes need mask registers; v3 runs
- * the byte loop. The levels:
+ * temper and threshold pack (util/rng.cc) and popcountWords
+ * (util/bitvector.cc). Each is written once as an always-inline body,
+ * the MT19937-64 ones over the lane vectors below, then instantiated
+ * with __attribute__((target(...))) for each level that pays (popcount
+ * stops at v3; v4 runs the v3 build). The result digest (util/fnv.h) is
+ * a plain loop with no levels. The levels:
  *
  *   - Baseline: the default target, one word at a time;
  *   - X86_64_V3: AVX2 with BMI1/2, FMA and POPCNT (the x86-64-v3

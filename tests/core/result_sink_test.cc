@@ -22,6 +22,7 @@
 #include "core/result_sink.h"
 #include "reliability/error_injector.h"
 #include "reliability/vth_model.h"
+#include "tests/support/fnv_reference.h"
 #include "tests/support/random_fixture.h"
 
 namespace fcos::core {
@@ -90,35 +91,27 @@ TEST(ResultSinkTest, DigestIsOrderAndContentSensitive)
     EXPECT_EQ(d1.digest(), d2.digest());
 }
 
-TEST(ResultSinkTest, DigestOfTable1PagesMatchesAByteLoop)
+TEST(ResultSinkTest, DigestOfTable1PagesMatchesTheReference)
 {
-    // A page's digest is FNV-1a from the offset basis over its bits in
-    // 8-bit groups (bit i of a byte is result bit 8b + i) up to a whole
-    // word, with the bits past the valid ones read as 0. The stream
-    // digest is FNV-1a from the offset basis over each page digest as 8
-    // bytes, least significant first, in page order. Checked on a full
-    // Table-1 page (131072 bits) and a 131050-bit tail, bit by bit from
-    // get(); the page summaries also count the valid '1' bits.
+    // A page's digest is the reference digest of its valid bits packed
+    // into words (result bit 64w + i is bit i of word w), the bits past
+    // the valid ones read as 0, with the bit count as the length. The
+    // stream digest is one fnvStep() per page digest from the offset
+    // basis, in page order. Checked on a full Table-1 page (131072
+    // bits) and a 131050-bit tail, bit by bit from get(); the page
+    // summaries also count the valid '1' bits.
     const std::uint64_t page_bits = 131072;
     const BitVector full = patternVec(page_bits, 11);
     const BitVector tail = patternVec(page_bits, 12);
     auto page_digest = [](const BitVector &page, std::uint64_t bits) {
-        std::uint64_t h = kFnvOffset;
-        const std::uint64_t bytes = (bits + 63) / 64 * 8;
-        for (std::uint64_t b = 0; b < bytes; ++b) {
-            std::uint64_t byte = 0;
-            for (std::uint64_t i = 0; i < 8 && 8 * b + i < bits; ++i)
-                byte |= std::uint64_t{page.get(8 * b + i)} << i;
-            h = fnvStep(h, byte);
-        }
-        return h;
+        std::vector<std::uint64_t> words((bits + 63) / 64, 0);
+        for (std::uint64_t i = 0; i < bits; ++i)
+            words[i / 64] |= std::uint64_t{page.get(i)} << (i % 64);
+        return test::fnvReference(words, bits);
     };
-    std::uint64_t want = kFnvOffset;
-    for (std::uint64_t d :
-         {page_digest(full, page_bits), page_digest(tail, 131050)}) {
-        for (int i = 0; i < 8; ++i)
-            want = fnvStep(want, (d >> (8 * i)) & 0xFF);
-    }
+    const std::uint64_t want =
+        fnvStep(fnvStep(kFnvOffset, page_digest(full, page_bits)),
+                page_digest(tail, 131050));
 
     const ResultChunk c0 = chunkOf(0, page_bits, page_bits, full);
     const ResultChunk c1 = chunkOf(1, page_bits, 131050, tail);

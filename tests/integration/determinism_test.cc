@@ -261,7 +261,7 @@ TEST(DeterminismTest, TraceDigestWorkerCountInvariant)
 {
     // The observability layer rides the same contract: spans are
     // recorded only in serial/commit-phase contexts, so the exported
-    // trace JSON — certified by its FNV-1a digest — is bit-identical
+    // trace JSON — certified by its digest — is bit-identical
     // at any worker count. (Queue-shape *metrics* are allowed to vary
     // with workers; that is why the capture is trace-only.)
     std::uint64_t serial_digest = 0;

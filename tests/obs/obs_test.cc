@@ -140,7 +140,7 @@ TEST(ObsTraceTest, JsonIsSchemaValidAndDigestStable)
 
     const std::string json = t.toJson();
     EXPECT_TRUE(test::IsValidChromeTrace(json));
-    EXPECT_EQ(t.digest(), fnv1a(json));
+    EXPECT_EQ(t.digest(), fnvDigestBytes(json));
 
     // Same recording => same JSON => same digest.
     obs::Tracer u;
@@ -170,12 +170,12 @@ TEST(ObsTraceTest, ChunkedExportMatchesTheWholeJson)
     }
     const std::string json = t.toJson();
     ASSERT_GT(json.size(), std::size_t{3} << 20);
-    EXPECT_EQ(t.digest(), fnv1a(json));
+    EXPECT_EQ(t.digest(), fnvDigestBytes(json));
 
     const std::string path = ::testing::TempDir() + "obs_chunked_trace.json";
     std::uint64_t digest = 0;
     ASSERT_TRUE(t.writeFile(path, &digest));
-    EXPECT_EQ(digest, fnv1a(json));
+    EXPECT_EQ(digest, fnvDigestBytes(json));
     std::FILE *f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::string back(json.size() + 1, '\0');

@@ -2,25 +2,19 @@
  * @file
  * The ISA-dispatched kernels (util/isa.h) at every level the host
  * supports: each must give the bits of the baseline level, of
- * std::mt19937_64, of per-bit Rng::bernoulli() and of byte-wise FNV-1a
- * (the published test vectors and an fnvStep() loop). The tsan tier runs
+ * std::mt19937_64 and of per-bit Rng::bernoulli(). The tsan tier runs
  * it too, so a kernel resolver that ran before the sanitizer's runtime
  * (as target_clones/ifunc ones do) would crash CI at start-up.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <random>
-#include <string_view>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/bitvector.h"
-#include "util/fnv.h"
 #include "util/isa.h"
 #include "util/rng.h"
 
@@ -207,92 +201,6 @@ TEST(IsaDispatchTest, PopcountWordsMatchesABitLoop)
                     << " fill=" << fill;
                 EXPECT_EQ(popcountWords(words.data(), n), want);
             }
-        }
-    }
-}
-
-/** What fnvBytes() must return: fnvStep() byte by byte. */
-std::uint64_t
-fnvByteLoop(std::uint64_t h, const unsigned char *p, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        h = fnvStep(h, p[i]);
-    return h;
-}
-
-/** fnvBytes() at every supported level agrees with the byte loop on
- *  @p bytes, entered with @p h. */
-void
-expectFnvBytesMatch(std::uint64_t h, const std::vector<unsigned char> &bytes,
-                    std::size_t offset = 0)
-{
-    const unsigned char *p = bytes.data() + offset;
-    const std::size_t n = bytes.size() - offset;
-    const std::uint64_t want = fnvByteLoop(h, p, n);
-    for (IsaLevel level : supportedLevels())
-        ASSERT_EQ(fnvBytes(h, p, n, level), want)
-            << isaLevelName(level) << " n=" << n << " offset=" << offset
-            << " h=" << h;
-    ASSERT_EQ(fnvBytes(h, p, n), want);
-}
-
-TEST(IsaDispatchTest, FnvBytesGivesThePublishedVectors)
-{
-    // FNV-1a 64-bit test vectors (Fowler, Noll and Vo's reference set).
-    const std::pair<std::string_view, std::uint64_t> vectors[] = {
-        {"", 0xcbf29ce484222325ULL},
-        {"a", 0xaf63dc4c8601ec8cULL},
-        {"foobar", 0x85944171f73967e8ULL},
-    };
-    for (const auto &[text, want] : vectors) {
-        for (IsaLevel level : supportedLevels())
-            EXPECT_EQ(fnvBytes(kFnvOffset, text.data(), text.size(), level),
-                      want)
-                << isaLevelName(level) << " \"" << text << "\"";
-        EXPECT_EQ(fnv1a(text), want) << "\"" << text << "\"";
-    }
-}
-
-TEST(IsaDispatchTest, FnvBytesMatchesTheByteLoop)
-{
-    // Lengths on both sides of the vector kernels' 512-byte blocks,
-    // from start pointers at several alignments, entered with hashes
-    // whose low byte (the automaton's state) is 0x00, 0xff or random.
-    // Each buffer ends where the bytes end, so a vector load past the
-    // tail is an out-of-bounds read under AddressSanitizer.
-    const std::size_t lengths[] = {0,    1,    7,    8,    63,   64,
-                                   511,  512,  513,  1023, 1024, 4096 + 37,
-                                   16384, 16384 + 8};
-    Rng rng(21);
-    const std::uint64_t r = rng.nextU64();
-    const std::uint64_t hashes[] = {kFnvOffset, r, r & ~0xFFULL,
-                                    r | 0xFFULL};
-    for (std::size_t n : lengths) {
-        for (std::size_t offset : {0, 1, 7, 13}) {
-            std::vector<unsigned char> bytes(offset + n);
-            for (unsigned char &b : bytes)
-                b = static_cast<unsigned char>(rng.nextU64());
-            for (std::uint64_t h : hashes)
-                expectFnvBytesMatch(h, bytes, offset);
-        }
-    }
-}
-
-TEST(IsaDispatchTest, FnvBytesMatchesTheByteLoopOnStructuredPages)
-{
-    // 16-KiB pages: every repeated byte, then the workloads' densities.
-    Rng rng(22);
-    std::vector<unsigned char> page(16384);
-    for (unsigned v = 0; v < 256; ++v) {
-        std::fill(page.begin(), page.end(), static_cast<unsigned char>(v));
-        expectFnvBytesMatch(v % 2 ? kFnvOffset : rng.nextU64(), page);
-    }
-    std::vector<std::uint64_t> words(page.size() / 8);
-    for (double p : {0.02, 0.5, 0.98}) {
-        for (int rep = 0; rep < 4; ++rep) {
-            rng.fillBernoulli(words.data(), words.size() * 64, p);
-            std::memcpy(page.data(), words.data(), page.size());
-            expectFnvBytesMatch(rng.nextU64(), page);
         }
     }
 }
